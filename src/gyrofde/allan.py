@@ -22,9 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.signal import fftconvolve
-from scipy.stats import chi2
 
 from ._series import atrk_inflight_shape
 from .gyro import DriftSpec, GyroErrorModel, RateTrace
@@ -57,8 +54,8 @@ class AllanCurve:
         self.sigmas = np.asarray(self.sigmas, dtype=float)
         if np.any(np.diff(self.taus) <= 0):
             raise ValueError("taus must be strictly increasing")
-        if np.any(self.sigmas < 0):
-            raise ValueError("sigmas must be >= 0")
+        if not np.all(self.sigmas >= 0):
+            raise ValueError("sigmas must be >= 0 (and not NaN)")
         if self.source not in ("analytic", "empirical"):
             raise ValueError(f"bad source {self.source!r}")
 
@@ -185,11 +182,38 @@ def allan_variance_empirical(trace: RateTrace, taus) -> AllanCurve:
 
 
 def _golden_log_extremum(f, lo: float, mid: float, hi: float) -> float:
-    """Golden-section refinement of a bracketed extremum of f on log-tau."""
-    res = minimize_scalar(lambda u: f(math.exp(u)),
-                          bracket=(math.log(lo), math.log(mid), math.log(hi)),
-                          method="golden", options={"xtol": 1e-12})
-    return math.exp(res.x)
+    """Golden-section refinement of a bracketed minimum of f on log-tau.
+
+    The loop of scipy's ``minimize_scalar(method="golden", xtol=1e-12)`` for a
+    three-point bracket, step for step, so the landmarks come out bit-identical
+    without importing scipy.optimize.
+    """
+    g = lambda u: f(math.exp(u))
+    x0, xb, x3 = math.log(lo), math.log(mid), math.log(hi)
+    if not x0 < xb < x3:
+        raise ValueError("bracket must satisfy lo < mid < hi")
+    fb = g(xb)
+    if not (fb < g(x0) and fb < g(x3)):
+        raise ValueError("bracket must satisfy f(mid) < f(lo) and f(mid) < f(hi)")
+    gR = 0.61803399  # scipy's rounding of the golden ratio conjugate
+    gC = 1.0 - gR
+    if abs(x3 - xb) > abs(xb - x0):
+        x1, x2 = xb, xb + gC * (x3 - xb)
+    else:
+        x1, x2 = xb - gC * (xb - x0), xb
+    f1, f2 = g(x1), g(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = gR * x1 + gC * x3
+            f2 = g(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = gR * x2 + gC * x0
+            f1 = g(x1)
+    return math.exp(x1 if f1 < f2 else x2)
 
 
 def allan_landmarks_analytic(m: GyroErrorModel) -> AllanLandmarks:
@@ -259,6 +283,8 @@ def _window_sum_cov(d: DriftSpec, dt: float, m: int, max_lag: int) -> np.ndarray
     V = K^2 dt / (1 - q^2); the window-sum covariance is that kernel
     convolved with a triangle of half-width m.
     """
+    from scipy.signal import fftconvolve
+
     q = math.exp(-dt / d.Tc)
     V = d.K * d.K * dt / (1.0 - q * q)
     lags = np.arange(-(m - 1), max_lag + m)
@@ -321,6 +347,8 @@ def confidence_band(model: GyroErrorModel, dt: float, n_samples: int,
                     taus, confidence: float = 0.99):
     """(lo, hi) multiplicative band on the Allan deviation around the analytic
     curve at the given confidence, from the estimator's effective dof."""
+    from scipy.stats import chi2
+
     nu = estimator_dof(model, dt, n_samples, taus)
     alpha = (1.0 - confidence) / 2.0
     lo = np.sqrt(chi2.ppf(alpha, nu) / nu)

@@ -12,7 +12,7 @@ Configs are JSON with units attached to every physical value, e.g.::
     }
 
 Flags override file values.  Exit codes: 0 success, 1 requirement failure
-from ``check``, 2 bad config or I/O.
+from ``check``, 2 bad input or I/O (one ``gyrofde: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +134,7 @@ def parse_config(doc: dict, overrides: argparse.Namespace | None = None) -> RunC
         raise ConfigError(f"flight: {e}") from None
 
     seed = doc.get("seed", DEFAULTS["seed"])
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed: expected integer, got {seed!r}")
     return RunConfig(model=model, flight=profile, seed=seed, raw=doc)
 
@@ -245,6 +246,8 @@ def _target(args, cfg: RunConfig) -> ts.RequirementTarget:
 
 
 def _cmd_analytic(args) -> int:
+    if args.points < 2:
+        raise ConfigError(f"--points: need at least 2, got {args.points}")
     cfg = load_config(args.config, args)
     times = np.linspace(0.0, cfg.flight.duration, args.points)
     budget_series_to_csv(args.out, cfg.model, cfg.flight, times)
@@ -266,6 +269,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_allan(args) -> int:
     cfg = load_config(args.config, args)
+    trace = None
     if args.synthesize_trace:
         duration = parse_quantity(args.trace_duration, "time").canonical()
         trace = synthesize_rate_trace(cfg.model, duration, cfg.flight.dt, cfg.seed)
@@ -278,9 +282,10 @@ def _cmd_allan(args) -> int:
             source="analytic")
         curve.to_csv(args.analytic_out)
     if args.empirical_out:
-        if not args.trace and not args.synthesize_trace:
+        if args.trace:
+            trace = RateTrace.from_csv(args.trace)
+        if trace is None:
             raise ConfigError("--empirical-out needs --trace or --synthesize-trace")
-        trace = RateTrace.from_csv(args.trace or args.synthesize_trace)
         taus = allan_mod.default_tau_grid(trace.dt, trace.duration)
         allan_mod.allan_variance_empirical(trace, taus).to_csv(args.empirical_out)
     if args.landmarks_out:
@@ -309,7 +314,14 @@ def _interior_maximum(sig: np.ndarray) -> int | None:
 
 def _cmd_fit_allan(args) -> int:
     if args.curve:
-        rows = np.loadtxt(args.curve, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data: caught below
+            try:
+                rows = np.loadtxt(args.curve, delimiter=",", skiprows=1, ndmin=2)
+            except ValueError as e:
+                raise ConfigError(f"{args.curve}: {e}") from None
+        if rows.shape[1] != 2:
+            raise ConfigError(f"{args.curve}: expected columns tau_s,sigma_deg_per_h")
         taus_h = rows[:, 0] / 3600.0
         sig = rows[:, 1] * DEG
         i = _interior_maximum(sig)
@@ -389,7 +401,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, UnitError) as e:
+    except ValueError as e:  # includes ConfigError and UnitError
         print(f"gyrofde: error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .units import DEG
 
@@ -105,15 +104,36 @@ class RateTrace:
 
     @classmethod
     def from_csv(cls, path) -> "RateTrace":
+        """Read a ``to_csv`` record.  dt is the first timestamp; every value
+        must be finite and row i's timestamp within 1e-3 dt of i dt."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         if not rows or rows[0] != ["t_h", "rate_deg_per_h"]:
             raise ValueError(f"{path}: expected header t_h,rate_deg_per_h")
-        t = np.array([float(r[0]) for r in rows[1:]])
-        rates = np.array([float(r[1]) for r in rows[1:]]) * DEG
-        if len(t) == 0:
+        body = rows[1:]
+        if not body:
             raise ValueError(f"{path}: empty trace")
-        dt = t[0]
+        try:
+            t = np.array([float(a) for a, _ in body])
+            rates = np.array([float(b) for _, b in body]) * DEG
+        except ValueError:
+            for line, row in enumerate(body, start=2):
+                try:
+                    a, b = row
+                    float(a), float(b)
+                except ValueError:
+                    raise ValueError(f"{path}:{line}: expected two numbers, "
+                                     f"got {','.join(row)!r}") from None
+        dt = float(t[0])
+        # strict, so that dt <= 0 fails on the first row
+        on_grid = np.abs(t - np.arange(1, len(t) + 1) * dt) < 1e-3 * dt
+        for what, bad in (("non-finite timestamp", ~np.isfinite(t)),
+                          ("non-finite rate", ~np.isfinite(rates)),
+                          (f"timestamp is not (i+1) dt to within 1e-3 dt "
+                           f"(dt = {dt!r} h, the first timestamp)", ~on_grid)):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"{path}:{i + 2}: {what}: {','.join(body[i])!r}")
         return cls(dt=dt, samples=rates, duration=len(rates) * dt)
 
 
@@ -168,6 +188,8 @@ def _drift_states(d: DriftSpec, n_steps: int, dt: float,
     s_0 is the turn-on draw (or 0); s_j = s_{j-1} exp(-dt/Tc) + K sqrt(dt) w_j.
     Bit-identical to looping init_drift_state/step_drift on the same streams.
     """
+    from scipy.signal import lfilter
+
     s0 = init_drift_state(d, init_rng, turn_on)
     if n_steps == 1:
         return np.array([s0])

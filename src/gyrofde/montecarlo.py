@@ -14,11 +14,9 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .budget import FlightProfile, fde_sigma
 from .gyro import GyroErrorModel, _rate_series
@@ -141,6 +139,7 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
 
     jobs = [(m, p, g, n_flights, master_seed, idx) for g in range(n_groups)]
     if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_group_accumulators, jobs))
     else:
@@ -224,6 +223,8 @@ def compare_to_analytic(stats: EnsembleStats, m: GyroErrorModel,
     n_flights Gaussian draws (about +-14% at n=100, 95%)."""
     if m != stats.model or p != stats.profile:
         raise ValueError("stats were produced from a different model/profile")
+    from scipy.stats import chi2
+
     nu = stats.n_flights - 1
     alpha = (1.0 - confidence) / 2.0
     lo = math.sqrt(chi2.ppf(alpha, nu) / nu)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gyrofde import allan
 from gyrofde.allan import (AllanCurve, allan_landmarks_analytic,
                            allan_variance_analytic, allan_variance_empirical,
                            confidence_band, default_tau_grid, estimator_dof,
@@ -137,6 +138,40 @@ class TestLandmarks:
                 NoiseSpec(0.0), (DriftSpec(1.0, 1.0),)))
 
 
+class TestGoldenSearch:
+    @pytest.mark.parametrize("model", [
+        FIG3,
+        GyroErrorModel.from_deg(1e-4, ((0.03, 0.05),)),
+        GyroErrorModel.from_deg(5e-4, ((0.3, 0.02),)),
+    ])
+    def test_bit_identical_to_scipy_golden(self, model, monkeypatch):
+        from scipy.optimize import minimize_scalar
+        calls = []
+        search = allan._golden_log_extremum
+
+        def recording(f, lo, mid, hi):
+            calls.append((f, lo, mid, hi))
+            return search(f, lo, mid, hi)
+
+        monkeypatch.setattr(allan, "_golden_log_extremum", recording)
+        allan_landmarks_analytic(model)
+        assert len(calls) == 2  # the minimum and the maximum
+        for f, lo, mid, hi in calls:
+            ref = minimize_scalar(lambda u: f(math.exp(u)),
+                                  bracket=(math.log(lo), math.log(mid), math.log(hi)),
+                                  method="golden", options={"xtol": 1e-12})
+            assert search(f, lo, mid, hi) == math.exp(ref.x)
+
+    def test_rejects_bad_brackets(self):
+        f = lambda t: (math.log(t) - 1.0) ** 2
+        with pytest.raises(ValueError, match="lo < mid < hi"):
+            allan._golden_log_extremum(f, 1.0, 1.0, 10.0)
+        with pytest.raises(ValueError, match="lo < mid < hi"):
+            allan._golden_log_extremum(f, 10.0, 3.0, 1.0)
+        with pytest.raises(ValueError, match="f\\(mid\\)"):
+            allan._golden_log_extremum(f, 3.0, 10.0, 30.0)
+
+
 class TestIdentifyFromMax:
     def test_definitional_inverse(self):
         d = identify_from_max(1.89, 0.437)
@@ -201,6 +236,8 @@ def test_curve_validation_and_csv(tmp_path):
         AllanCurve(taus=[2.0, 1.0], sigmas=[1.0, 1.0], source="analytic")
     with pytest.raises(ValueError):
         AllanCurve(taus=[1.0, 2.0], sigmas=[1.0, 1.0], source="guess")
+    with pytest.raises(ValueError, match="sigmas"):
+        AllanCurve(taus=[1.0, 2.0], sigmas=[1.0, np.nan], source="empirical")
     curve = AllanCurve(taus=[1.0, 2.0], sigmas=[0.5, 0.25], source="analytic")
     path = tmp_path / "curve.csv"
     curve.to_csv(path)

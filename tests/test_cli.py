@@ -1,9 +1,16 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gyrofde
+from gyrofde.allan import allan_variance_empirical, default_tau_grid
 from gyrofde.cli import ConfigError, main, parse_config
+from gyrofde.gyro import GyroErrorModel, synthesize_rate_trace
 from gyrofde.units import DEG
 
 BENCHMARK = {
@@ -56,6 +63,10 @@ class TestParseConfig:
         assert cfg.model.drifts[0].Tc == pytest.approx(0.5)
         assert cfg.flight.duration == pytest.approx(10.0)
         assert cfg.flight.R == pytest.approx(3440 * 1.852)
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config({"seed": True})
 
 
 class TestAnalyticCommand:
@@ -131,6 +142,22 @@ class TestAllanCommands:
                             "sigma_max_deg_per_h", "K_deg_per_h32", "Tc_h"}
         # the noise term tilts this model's maximum slightly leftward
         assert doc["Tc_h"] == pytest.approx(0.02, rel=0.05)
+
+    def test_empirical_curve_uses_the_synthesized_trace(self, tmp_path):
+        # estimated from the samples in memory, not from their CSV round trip
+        emp = tmp_path / "emp.csv"
+        rc = main(["allan", "--noise", "0.0005 deg_per_sqrt_h",
+                   "--drift", "0.3 deg_per_h_3_2, 72 s", "--seed", "4",
+                   "--trace-duration", "0.5 h", "--synthesize-trace",
+                   str(tmp_path / "trace.csv"), "--empirical-out", str(emp)])
+        assert rc == 0
+        m = GyroErrorModel.from_deg(5e-4, ((0.3, 72 / 3600),))
+        trace = synthesize_rate_trace(m, 0.5, 1 / 3600, 4)
+        want = allan_variance_empirical(
+            trace, default_tau_grid(trace.dt, trace.duration))
+        want_path = tmp_path / "want.csv"
+        want.to_csv(want_path)
+        assert emp.read_bytes() == want_path.read_bytes()
 
     def test_fit_allan_from_flags(self, tmp_path, capsys):
         rc = main(["fit-allan", "--tau-max", "6804 s",
@@ -215,3 +242,81 @@ class TestCheckCommand:
         rss = np.sqrt(b["sigma_atrk_km"] ** 2 + b["sigma_xtrk_km"] ** 2)
         assert rss == pytest.approx(b["sigma_fde_km"], rel=1e-12)
         assert doc["pass"] == (doc["fde95_nmi"] <= 10.0)
+
+
+def _write_trace(path, rows):
+    path.write_text("t_h,rate_deg_per_h\n" + "".join(f"{t},{r}\n" for t, r in rows))
+    return str(path)
+
+
+def _bad_input_cases(tmp_path):
+    short = _write_trace(tmp_path / "short.csv",
+                         [(i / 3600, 0.01) for i in range(1, 4)])
+    nan = _write_trace(tmp_path / "nan.csv",
+                       [(i / 3600, "nan" if i == 5 else 0.01) for i in range(1, 601)])
+    gap = _write_trace(tmp_path / "gap.csv",
+                       [((i + (46 if i > 5 else 0)) / 3600, 0.01) for i in range(1, 11)])
+    seed_true = write_config(tmp_path, {"seed": True}, "seed.json")
+    one_row = tmp_path / "one_row.csv"
+    one_row.write_text("tau_s,sigma_deg_per_h\n10,0.1\n")
+    bad_number = tmp_path / "bad_number.csv"
+    bad_number.write_text("tau_s,sigma_deg_per_h\n10,0.1\n20,abc\n30,0.1\n")
+    out = str(tmp_path / "out.csv")
+    return {
+        "simulate-groups-0": ["simulate", "--groups", "0", "--out", out],
+        "simulate-flights-1": ["simulate", "--flights", "1", "--out", out],
+        "check-negative-target": ["check", "--target", "-1 nmi"],
+        "grid-zero-points": ["grid", "--n-range", "1e-3,1e-2,0", "--out", out],
+        "allan-short-trace": ["allan", "--trace", short, "--empirical-out", out],
+        "allan-nan-trace": ["allan", "--trace", nan, "--empirical-out", out],
+        "allan-gap-trace": ["allan", "--trace", gap, "--empirical-out", out],
+        "analytic-points-0": ["analytic", "--points", "0", "--out", out],
+        "seed-true": ["analytic", "--config", seed_true, "--out", out],
+        "fit-allan-one-row": ["fit-allan", "--curve", str(one_row), "--out", out],
+        "fit-allan-bad-number": ["fit-allan", "--curve", str(bad_number), "--out", out],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "simulate-groups-0", "simulate-flights-1", "check-negative-target",
+    "grid-zero-points", "allan-short-trace", "allan-nan-trace",
+    "allan-gap-trace", "analytic-points-0", "seed-true", "fit-allan-one-row",
+    "fit-allan-bad-number"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
+    argv = _bad_input_cases(tmp_path)[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gyrofde: error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_closed_form_commands_load_no_scipy(tmp_path):
+    """import gyrofde.cli and every command that needs no sampling or dof
+    band stays clear of scipy (its import dominates a cold start)."""
+    argvs = [
+        ["check", "--noise", "0.005 deg_per_sqrt_h",
+         "--drift", "0.01 deg_per_h_3_2, 1 h"],
+        ["analytic", "--noise", "0.005 deg_per_sqrt_h", "--out", "a.csv"],
+        ["grid", "--n-range", "1e-3,1e-2,3", "--k-range", "1e-3,1e-2,3",
+         "--out", "g.csv"],
+        ["contour", "--n-range", "1e-3,5e-2,4", "--out", "c.csv"],
+        ["fit-allan", "--tau-max", "6804 s", "--sigma-max", "0.0414 deg_per_h"],
+        ["allan", "--noise", "0.0001 deg_per_sqrt_h",
+         "--drift", "0.03 deg_per_h_3_2, 0.05 h",
+         "--analytic-out", "aa.csv", "--landmarks-out", "lm.json"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from gyrofde.cli import main\n"
+        "def scipy_modules():\n"
+        "    return sorted(k for k in sys.modules if k.startswith('scipy'))\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert not scipy_modules(), (argv, scipy_modules())\n")
+    src = str(pathlib.Path(gyrofde.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -213,3 +213,23 @@ def test_rate_trace_csv_round_trip(tmp_path):
     back = RateTrace.from_csv(path)
     assert back.dt == pytest.approx(trace.dt, rel=1e-15)
     np.testing.assert_allclose(back.samples, trace.samples, rtol=1e-15)
+    # the reader is exact on what the writer printed
+    assert back.dt == trace.dt and back.duration == trace.duration
+    rates = [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
+    assert np.array_equal(back.samples, np.array(rates) * DEG)
+
+
+@pytest.mark.parametrize("rows, line, what", [
+    ("0.1,1\n0.2,nan\n0.3,1\n", 3, "non-finite rate"),
+    ("0.1,1\ninf,1\n", 3, "non-finite timestamp"),
+    ("0.1,1\n0.2,1\n0.35,1\n", 4, "timestamp"),
+    ("0.1,1\n0.1,1\n", 3, "timestamp"),
+    ("0,1\n", 2, "timestamp"),
+    ("0.1,1\n0.2\n", 3, "expected two numbers"),
+])
+def test_rate_trace_from_csv_rejects_bad_rows(tmp_path, rows, line, what):
+    path = tmp_path / "trace.csv"
+    path.write_text("t_h,rate_deg_per_h\n" + rows)
+    with pytest.raises(ValueError, match=f"trace.csv:{line}: {what}"):
+        RateTrace.from_csv(path)
+
