@@ -4,57 +4,60 @@ With x = t/Tc and a = exp(-x), the three shapes below underlie the drift
 terms of the error budget and of the Allan variance.  Evaluated directly
 they lose all precision for x << 1 (their leading orders are x^3/3, x^5/20,
 and x^2/2 while the operands are O(x)), so below the cutover each switches
-to its exact alternating power series, summed to machine precision.
+to its exact alternating power series.  The series stop at a fixed degree,
+where the omitted tail is below 1e-17 relative at the cutover, and are
+summed by Horner's rule.
+
+Each shape takes a float or an array of x and returns the same kind (a float
+as a numpy float64); one array call equals the elementwise calls bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _CUTOVER = 0.5
-_TOL = 1e-18
+_DEGREE = 21
 
 
-def atrk_inflight_shape(x: float) -> float:
+def _series(coef, k0: int) -> list[float]:
+    """Coefficients of x^_DEGREE down to x^0 (Horner order), zero below x^k0."""
+    return [coef(k) if k >= k0 else 0.0 for k in range(_DEGREE, -1, -1)]
+
+
+_ATRK = _series(lambda k: (-1) ** (k + 1) * (2 ** k - 4) / (2 * math.factorial(k)), 3)
+_XTRK = _series(lambda k: (-1) ** k * (2 * k - 2 ** (k - 1)) / math.factorial(k), 5)
+_XMINUS_EM = _series(lambda k: (-1) ** k / math.factorial(k), 2)
+
+
+def _merge(x, direct, coef: list[float]):
+    # the series only ever sees x below the cutover, so it cannot overflow
+    s = np.minimum(x, _CUTOVER)
+    series = 0.0
+    for c in coef:
+        series = series * s + c
+    return np.where(x >= _CUTOVER, direct, series)[()]
+
+
+def atrk_inflight_shape(x):
     """x - (3 - 4 e^-x + e^-2x)/2; ~ x^3/3 for small x."""
-    if x >= _CUTOVER:
-        a = math.exp(-x)
-        return x - (3.0 - 4.0 * a + a * a) / 2.0
-    total, powx, fact, k = 0.0, x * x, 2.0, 2
-    while True:
-        k += 1
-        powx *= x
-        fact *= k
-        term = (2.0 ** k - 4.0) / (2.0 * fact) * powx
-        total += term if k % 2 else -term
-        if abs(term) < _TOL * max(abs(total), 1e-300):
-            return total
+    x = np.asarray(x, dtype=float)[()]
+    a = np.exp(-x)
+    return _merge(x, x - (3.0 - 4.0 * a + a * a) / 2.0, _ATRK)
 
 
-def xtrk_inflight_shape(x: float) -> float:
+def xtrk_inflight_shape(x):
     """x^3/3 - x^2 + x(1 - 2 e^-x) + (1 - e^-2x)/2; ~ x^5/20 for small x."""
-    if x >= _CUTOVER:
-        a = math.exp(-x)
-        return x ** 3 / 3.0 - x * x + x * (1.0 - 2.0 * a) + (1.0 - a * a) / 2.0
-    total, powx, fact, k = 0.0, x ** 4, 24.0, 4
-    while True:
-        k += 1
-        powx *= x
-        fact *= k
-        term = (2.0 * k - 2.0 ** (k - 1)) / fact * powx
-        total += -term if k % 2 else term
-        if abs(term) < _TOL * max(abs(total), 1e-300):
-            return total
+    x = np.asarray(x, dtype=float)[()]
+    a = np.exp(-x)
+    # np.power, not **, so that a float x and an array take the same pow
+    direct = np.power(x, 3) / 3.0 - x * x + x * (1.0 - 2.0 * a) + (1.0 - a * a) / 2.0
+    return _merge(x, direct, _XTRK)
 
 
-def xminus_em(x: float) -> float:
+def xminus_em(x):
     """x - (1 - e^-x); ~ x^2/2 for small x."""
-    if x >= _CUTOVER:
-        return x - (-math.expm1(-x))
-    total, term, k = 0.0, x, 1
-    while True:
-        k += 1
-        term *= -x / k
-        total -= term  # sum_{k>=2} (-1)^k x^k / k!
-        if abs(term) < _TOL * max(abs(total), 1e-300):
-            return total
+    x = np.asarray(x, dtype=float)[()]
+    return _merge(x, x - (-np.expm1(-x)), _XMINUS_EM)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._series import atrk_inflight_shape
+from .budget import _budget, _drift_pairs
 from .gyro import DriftSpec, GyroErrorModel, RateTrace
 from .units import DEG, HOUR_S
 
@@ -115,26 +115,17 @@ class AllanLandmarks:
         return rep
 
 
-def _drift_avar_one(K: float, Tc: float, tau) -> np.ndarray | float:
-    # K^2 Tc^2 / tau * [1 - (3 - 4 e^-x + e^-2x)/(2x)]; the bracket equals
-    # atrk_inflight_shape(x)/x, which stays accurate for tau << Tc.
-    if np.ndim(tau):
-        x = np.asarray(tau) / Tc
-        shape = np.array([atrk_inflight_shape(float(xi)) for xi in x])
-        return (K * K * Tc * Tc / np.asarray(tau)) * shape / x
-    x = tau / Tc
-    return (K * K * Tc * Tc / tau) * atrk_inflight_shape(x) / x
-
-
 def allan_variance_analytic(m: GyroErrorModel, tau) -> np.ndarray | float:
-    """Closed-form Allan variance at tau (h); accepts scalars or arrays. rad^2/h^2."""
-    tau = np.asarray(tau, dtype=float) if np.ndim(tau) else float(tau)
-    if np.any(np.asarray(tau) <= 0):
+    """Closed-form Allan variance at tau (h); accepts scalars or arrays. rad^2/h^2.
+
+    A drift's term is its along-track in-flight variance on a unit-radius
+    flight of length tau, over tau^2: the budget kernel, series included.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau <= 0):
         raise ValueError("tau must be > 0")
-    avar = m.noise.N ** 2 / tau
-    for d in m.drifts:
-        avar = avar + _drift_avar_one(d.K, d.Tc, tau)
-    return avar
+    drift = _budget(0.0, _drift_pairs(m), False, 1.0, 0.0, tau).atrk_drift
+    return (m.noise.N ** 2 / tau + drift / (tau * tau))[()]
 
 
 def allan_deviation_analytic(m: GyroErrorModel, tau) -> np.ndarray | float:

@@ -21,8 +21,9 @@ x^5/20 cross-track).
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._series import atrk_inflight_shape, xminus_em, xtrk_inflight_shape
 from .gyro import GyroErrorModel
@@ -38,7 +39,8 @@ __all__ = [
 class FlightProfile:
     """Constant-speed great-circle flight: v km/h, duration h, sphere radius km.
 
-    dt is the simulation step used by the Monte-Carlo engine only.
+    dt is the simulation step used by the Monte-Carlo engine only; it must
+    divide the duration into whole steps (``n_steps`` raises otherwise).
     """
 
     v: float = 900.0
@@ -58,44 +60,18 @@ class FlightProfile:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.duration / self.dt)))
-
-
-def atrk_variance(m: GyroErrorModel, R: float, t: float) -> tuple[float, float, float]:
-    """(noise, drift, turn-on) along-track variance terms in km^2 at time t."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    noise = m.noise.N ** 2 * R * R * t
-    drift = turnon = 0.0
-    for d in m.drifts:
-        scale = d.K * d.K * d.Tc ** 3 * R * R
-        x = t / d.Tc
-        drift += scale * atrk_inflight_shape(x)
-        if m.turn_on:
-            em = -math.expm1(-x)
-            turnon += scale * em * em / 2.0
-    return noise, drift, turnon
-
-
-def xtrk_variance(m: GyroErrorModel, v: float, t: float) -> tuple[float, float, float]:
-    """(noise, drift, turn-on) cross-track variance terms in km^2 at time t."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    noise = m.noise.N ** 2 * v * v * t ** 3 / 3.0
-    drift = turnon = 0.0
-    for d in m.drifts:
-        scale = d.K * d.K * d.Tc ** 5 * v * v
-        x = t / d.Tc
-        drift += scale * xtrk_inflight_shape(x)
-        if m.turn_on:
-            g = xminus_em(x)
-            turnon += scale * g * g / 2.0
-    return noise, drift, turnon
+        """Steps of dt in the flight; dt must divide the duration."""
+        n = self.duration / self.dt
+        if round(n) < 1 or abs(n - round(n)) > 1e-9 * n:
+            raise ValueError(f"dt={self.dt!r} h does not divide the flight "
+                             f"duration {self.duration!r} h into whole steps")
+        return int(round(n))
 
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Per-term and total error standard deviations at one flight time."""
+    """Per-term variances (km^2) and total error standard deviations (km) at
+    one flight time, or arrays of them over an array of times."""
 
     t: float
     atrk_noise: float
@@ -118,18 +94,65 @@ class ErrorBudget:
         return self.fde95_km / NMI_KM
 
 
-def fde_sigma(m: GyroErrorModel, p: FlightProfile, t: float) -> ErrorBudget:
-    """Assemble the full budget at time t of the profile."""
-    if not 0.0 <= t <= p.duration * (1 + 1e-12):
-        raise ValueError(f"t={t} outside flight duration {p.duration}")
-    an, ad, at = atrk_variance(m, p.R, t)
-    xn, xd, xt = xtrk_variance(m, p.v, t)
+def _budget(N, drifts, turn_on: bool, R, v, t) -> ErrorBudget:
+    """The closed-form budget behind every public call: noise amplitude N,
+    drift (K, Tc) pairs, radius R and speed v at flight time t.
+
+    Broadcasts over N, each K and Tc, and t, and the fields of the result
+    broadcast against each other; each field is a float when N, the drifts
+    and t are floats, and has the shape of t when only t is an array.
+    """
+    t = np.asarray(t, dtype=float)[()]
+    if np.any(t < 0):
+        raise ValueError(f"t must be >= 0, got {t}")
+    an = N ** 2 * R * R * t
+    # np.power, not **: a float t then takes numpy's array pow, not libm's,
+    # so a float and an array of times give the same bits
+    xn = N ** 2 * v * v * np.power(t, 3) / 3.0
+    ad = at = xd = xt = 0.0 * t
+    for K, Tc in drifts:
+        x = t / Tc
+        sa = K * K * Tc ** 3 * R * R
+        sx = K * K * Tc ** 5 * v * v
+        ad = ad + sa * atrk_inflight_shape(x)
+        xd = xd + sx * xtrk_inflight_shape(x)
+        if turn_on:
+            em = -np.expm1(-x)
+            at = at + sa * em * em / 2.0
+            g = xminus_em(x)
+            xt = xt + sx * g * g / 2.0
     va, vx = an + ad + at, xn + xd + xt
-    return ErrorBudget(
-        t=t, atrk_noise=an, atrk_drift=ad, atrk_turnon=at,
-        xtrk_noise=xn, xtrk_drift=xd, xtrk_turnon=xt,
-        sigma_atrk=math.sqrt(va), sigma_xtrk=math.sqrt(vx),
-        sigma_fde=math.sqrt(va + vx))
+    return ErrorBudget(t, an, ad, at, xn, xd, xt,
+                       np.sqrt(va), np.sqrt(vx), np.sqrt(va + vx))
+
+
+def _drift_pairs(m: GyroErrorModel) -> list[tuple[float, float]]:
+    return [(d.K, d.Tc) for d in m.drifts]
+
+
+def atrk_variance(m: GyroErrorModel, R: float, t):
+    """(noise, drift, turn-on) along-track variance terms in km^2 at time t."""
+    b = _budget(m.noise.N, _drift_pairs(m), m.turn_on, R, 0.0, t)
+    return b.atrk_noise, b.atrk_drift, b.atrk_turnon
+
+
+def xtrk_variance(m: GyroErrorModel, v: float, t):
+    """(noise, drift, turn-on) cross-track variance terms in km^2 at time t."""
+    b = _budget(m.noise.N, _drift_pairs(m), m.turn_on, 0.0, v, t)
+    return b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon
+
+
+def fde_sigma(m: GyroErrorModel, p: FlightProfile, t) -> ErrorBudget:
+    """Assemble the full budget at time t of the profile.
+
+    t is a float or an array of times; for an array every field of the
+    budget is an array, equal bit for bit to one call per time.
+    """
+    t = np.asarray(t, dtype=float)
+    outside = ~((0.0 <= t) & (t <= p.duration * (1 + 1e-12)))
+    if outside.any():
+        raise ValueError(f"t={t[outside][0]} outside flight duration {p.duration}")
+    return _budget(m.noise.N, _drift_pairs(m), m.turn_on, p.R, p.v, t)
 
 
 def turnon_fraction(m: GyroErrorModel, p: FlightProfile, t: float,
@@ -159,15 +182,15 @@ def turnon_fraction(m: GyroErrorModel, p: FlightProfile, t: float,
 def budget_series_to_csv(path, m: GyroErrorModel, p: FlightProfile,
                          times) -> None:
     """ErrorBudget CSV over a time grid: sigmas, 95% figure, per-term variances."""
+    b = fde_sigma(m, p, times)
+    cols = (b.t, b.sigma_atrk, b.sigma_xtrk, b.sigma_fde, b.fde95_nmi,
+            b.atrk_noise, b.atrk_drift, b.atrk_turnon,
+            b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t_h", "sigma_atrk_km", "sigma_xtrk_km", "sigma_fde_km",
                     "fde95_nmi", "atrk_noise_km2", "atrk_drift_km2",
                     "atrk_turnon_km2", "xtrk_noise_km2", "xtrk_drift_km2",
                     "xtrk_turnon_km2"])
-        for t in times:
-            b = fde_sigma(m, p, float(t))
-            w.writerow([f"{v:.17g}" for v in (
-                b.t, b.sigma_atrk, b.sigma_xtrk, b.sigma_fde, b.fde95_nmi,
-                b.atrk_noise, b.atrk_drift, b.atrk_turnon,
-                b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon)])
+        w.writerows([f"{v:.17g}" for v in row]
+                    for row in np.column_stack(cols).tolist())

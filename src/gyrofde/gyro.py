@@ -96,11 +96,12 @@ class RateTrace:
 
     def to_csv(self, path) -> None:
         """Header ``t_h,rate_deg_per_h``; timestamps at interval ends; 17 sig digits."""
+        dt = self.dt
+        # the bytes csv.writer would write, \r\n terminators included
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_h", "rate_deg_per_h"])
-            for i, r in enumerate(self.samples):
-                w.writerow([f"{(i + 1) * self.dt:.17g}", f"{r / DEG:.17g}"])
+            fh.write("t_h,rate_deg_per_h\r\n")
+            fh.writelines(f"{(i + 1) * dt:.17g},{r:.17g}\r\n"
+                          for i, r in enumerate((self.samples / DEG).tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "RateTrace":

@@ -230,10 +230,8 @@ def compare_to_analytic(stats: EnsembleStats, m: GyroErrorModel,
     lo = math.sqrt(chi2.ppf(alpha, nu) / nu)
     hi = math.sqrt(chi2.ppf(1.0 - alpha, nu) / nu)
 
-    ana = np.zeros((2, len(stats.times)))
-    for j, t in enumerate(stats.times):
-        b = fde_sigma(m, p, float(t))
-        ana[0, j], ana[1, j] = b.sigma_atrk, b.sigma_xtrk
+    b = fde_sigma(m, p, stats.times)
+    ana = np.array([b.sigma_atrk, b.sigma_xtrk])
 
     rel = np.zeros((2, stats.n_groups, len(stats.times)))
     cov = np.zeros((2, len(stats.times)))

@@ -1,10 +1,11 @@
 """Requirement solving and parameter-map generation.
 
 All solvers work against the 95% figure 2 sigma_FDE at the target's
-evaluation time.  sigma_FDE is strictly increasing in K (every drift term is
-K^2 times a positive factor), so the K solver brackets and bisects safely;
-the Tc dependence is not monotone in general, so the Tc solver pre-scans in
-log space and reports the smallest crossing.
+evaluation time.  The variance is the noise variance plus K^2 times the
+drift variance at K = 1 (every drift term is K^2 times a positive factor),
+so the K solver takes that root exactly; the Tc dependence is not monotone
+in general, so the Tc solver pre-scans in log space and bisects the
+smallest crossing.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import FlightProfile, fde_sigma
+from .budget import FlightProfile, _budget, fde_sigma
 from .gyro import DriftSpec, GyroErrorModel, NoiseSpec, drift_stationary_std
 from .units import DEG, NMI_KM
 
@@ -58,6 +59,11 @@ def fde95_of(m: GyroErrorModel, r: RequirementTarget) -> float:
     return fde_sigma(m, r.flight, r.eval_time).fde95_km
 
 
+def _fde95_map(N, K, Tc, r: RequirementTarget) -> np.ndarray:
+    """fde95_of for the one-drift turn-on model, broadcast over N, K and Tc."""
+    return _budget(N, [(K, Tc)], True, r.flight.R, r.flight.v, r.eval_time).fde95_km
+
+
 @dataclass(frozen=True)
 class ComplianceResult:
     passed: bool
@@ -77,7 +83,7 @@ class ComplianceResult:
 def check_requirement(m: GyroErrorModel, r: RequirementTarget) -> ComplianceResult:
     """Pass iff 2 sigma_FDE at the evaluation time stays at or under the target."""
     fde95 = fde95_of(m, r)
-    return ComplianceResult(passed=fde95 <= r.fde95, fde95_km=fde95,
+    return ComplianceResult(passed=bool(fde95 <= r.fde95), fde95_km=fde95,
                             margin_km=r.fde95 - fde95, target=r)
 
 
@@ -88,35 +94,18 @@ def _model(N: float, K: float, Tc: float) -> GyroErrorModel:
 def solve_K(N: float, Tc: float, r: RequirementTarget) -> float | None:
     """The K >= 0 (rad/h^(3/2)) putting 2 sigma_FDE exactly on the target.
 
-    Returns None when the noise alone already exceeds the target.  Bisection
-    on a doubling bracket; relative tolerance 1e-4 on K.
+    Returns None when the noise alone already exceeds the target.  Otherwise
+    the exact root K = sqrt(((fde95/2)^2 - noise variance) / drift variance
+    at K = 1).
     """
     if N < 0 or Tc <= 0:
         raise ValueError("need N >= 0 and Tc > 0")
-    base = fde95_of(_model(N, 0.0, Tc), r)
-    if base > r.fde95:
+    b = fde_sigma(_model(N, 1.0, Tc), r.flight, r.eval_time)
+    noise = b.atrk_noise + b.xtrk_noise
+    if 2.0 * math.sqrt(noise) > r.fde95:  # fde95_of at K = 0, bit for bit
         return None
-    if base == r.fde95:
-        return 0.0
-
-    def over(K: float) -> bool:
-        return fde95_of(_model(N, K, Tc), r) > r.fde95
-
-    hi = 1e-4 * DEG
-    for _ in range(200):
-        if over(hi):
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the K requirement")
-    lo = 0.0
-    while hi - lo > _REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if over(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    drift = b.atrk_drift + b.atrk_turnon + b.xtrk_drift + b.xtrk_turnon
+    return math.sqrt(((r.fde95 / 2.0) ** 2 - noise) / drift)
 
 
 @dataclass(frozen=True)
@@ -141,7 +130,7 @@ def solve_Tc(N: float, K: float, r: RequirementTarget,
     if Tc_hi is None:
         Tc_hi = 10.0 * r.flight.duration
     grid = np.geomspace(Tc_lo, Tc_hi, scan_points)
-    vals = np.array([fde95_of(_model(N, K, tc), r) - r.fde95 for tc in grid])
+    vals = _fde95_map(N, K, grid, r) - r.fde95
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if len(sign_change) == 0:
         return TcSolution(Tc=None, crossings=0)
@@ -210,11 +199,11 @@ def fde_grid(N_range, K_range, Tc: float, r: RequirementTarget) -> np.ndarray:
     K_range = np.asarray(K_range, dtype=float)
     if N_range.size < 1 or K_range.size < 1:
         raise ValueError("empty grid ranges")
-    out = np.empty((N_range.size, K_range.size))
-    for i, n in enumerate(N_range):
-        for j, k in enumerate(K_range):
-            out[i, j] = fde95_of(_model(n, k, Tc), r)
-    return out
+    # the noise and drift specs reject NaN, negative or infinite N and K and
+    # a bad Tc; a range holds such a value iff its min or max does
+    for ext in (np.min, np.max):
+        _model(float(ext(N_range)), float(ext(K_range)), Tc)
+    return _fde95_map(N_range[:, None], K_range, Tc, r)
 
 
 def grid_to_csv(path, N_range, K_range, grid_km: np.ndarray) -> None:

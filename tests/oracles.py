@@ -5,7 +5,11 @@ position-gain of one unit impulse per time bin: the impulse's rate response
 decays geometrically; its heading gain is the rate summed over later bins,
 and its cross-track gain is the heading summed again.  Everything is plain
 cumulative-sum arithmetic; none of the package's bracket expressions appear.
+The scalar shape series at the end are the one exception: they are the
+reference for the package's array kernels.
 """
+
+import math
 
 import numpy as np
 
@@ -44,3 +48,55 @@ def xtrk_turnon_var(K: float, Tc: float, v: float, t: float, n: int = 10_000) ->
     heading = np.cumsum(w) * dt                      # heading gain after each bin
     gain = v * dt * float(np.sum(heading))
     return (K * K * Tc / 2.0) * gain * gain
+
+
+# The scalar series the closed forms summed before they took arrays: each
+# loops until the next term falls below 1e-18 of the running total.  Kept as
+# the reference that the fixed-degree Horner kernels are tested against.
+_CUTOVER = 0.5
+_TOL = 1e-18
+
+
+def atrk_inflight_shape(x: float) -> float:
+    """x - (3 - 4 e^-x + e^-2x)/2; ~ x^3/3 for small x."""
+    if x >= _CUTOVER:
+        a = math.exp(-x)
+        return x - (3.0 - 4.0 * a + a * a) / 2.0
+    total, powx, fact, k = 0.0, x * x, 2.0, 2
+    while True:
+        k += 1
+        powx *= x
+        fact *= k
+        term = (2.0 ** k - 4.0) / (2.0 * fact) * powx
+        total += term if k % 2 else -term
+        if abs(term) < _TOL * max(abs(total), 1e-300):
+            return total
+
+
+def xtrk_inflight_shape(x: float) -> float:
+    """x^3/3 - x^2 + x(1 - 2 e^-x) + (1 - e^-2x)/2; ~ x^5/20 for small x."""
+    if x >= _CUTOVER:
+        a = math.exp(-x)
+        return x ** 3 / 3.0 - x * x + x * (1.0 - 2.0 * a) + (1.0 - a * a) / 2.0
+    total, powx, fact, k = 0.0, x ** 4, 24.0, 4
+    while True:
+        k += 1
+        powx *= x
+        fact *= k
+        term = (2.0 * k - 2.0 ** (k - 1)) / fact * powx
+        total += -term if k % 2 else term
+        if abs(term) < _TOL * max(abs(total), 1e-300):
+            return total
+
+
+def xminus_em(x: float) -> float:
+    """x - (1 - e^-x); ~ x^2/2 for small x."""
+    if x >= _CUTOVER:
+        return x - (-math.expm1(-x))
+    total, term, k = 0.0, x, 1
+    while True:
+        k += 1
+        term *= -x / k
+        total -= term  # sum_{k>=2} (-1)^k x^k / k!
+        if abs(term) < _TOL * max(abs(total), 1e-300):
+            return total

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gyrofde import _series
 from gyrofde.budget import (FlightProfile, atrk_variance,
                             budget_series_to_csv, fde_sigma, turnon_fraction,
                             xtrk_variance)
@@ -272,3 +274,60 @@ def test_budget_csv_schema(tmp_path):
     b = fde_sigma(m, P, 10.0)
     # 17-significant-digit fields round-trip exactly
     assert last[3] == b.sigma_fde and last[4] == b.fde95_nmi
+
+
+class TestFlightSteps:
+    @pytest.mark.parametrize("duration, dt", [(0.5, 1.0), (0.5, 7 / 3600),
+                                              (1.0, 0.3)])
+    def test_dt_must_divide_the_duration(self, duration, dt):
+        with pytest.raises(ValueError, match="does not divide"):
+            FlightProfile(duration=duration, dt=dt).n_steps
+
+    def test_whole_steps(self):
+        assert FlightProfile(duration=0.05, dt=5 / 3600).n_steps == 36
+        assert FlightProfile(duration=1.0, dt=1.0).n_steps == 1
+
+
+SHAPES = ("atrk_inflight_shape", "xtrk_inflight_shape", "xminus_em")
+
+
+class TestArrayKernels:
+    """The fixed-degree Horner kernels against the scalar series loops they
+    replaced (kept in oracles)."""
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_series_side_within_8_ulp_of_scalar_series(self, name):
+        x = np.geomspace(1e-8, 0.5, 4001)[:-1]
+        new = getattr(_series, name)(x)
+        old = np.array([getattr(oracles, name)(float(v)) for v in x])
+        # positive doubles: the distance of their bit patterns counts ulps
+        assert np.max(np.abs(new.view(np.int64) - old.view(np.int64))) <= 8
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_direct_side_within_1e_12_of_scalar_form(self, name):
+        x = np.geomspace(0.5, 1e3, 4001)
+        old = [getattr(oracles, name)(float(v)) for v in x]
+        np.testing.assert_allclose(getattr(_series, name)(x), old,
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_float_in_float_out_equal_to_array_call(self, name):
+        f = getattr(_series, name)
+        x = np.concatenate(([0.0, 0.5], np.geomspace(1e-8, 1e3, 301)))
+        scalars = [f(float(v)) for v in x]
+        assert all(isinstance(s, float) for s in scalars)
+        assert np.array_equal(f(x), scalars)
+
+    @pytest.mark.parametrize("turn_on", [True, False])
+    def test_fde_sigma_over_times_equals_scalar_calls(self, turn_on):
+        # Tc = 25 h stays on the series side, Tc = 1 h crosses the cutover
+        m = GyroErrorModel.from_deg(0.003, ((0.01, 1.0), (0.005, 1.5),
+                                            (0.02, 25.0)), turn_on)
+        times = np.linspace(0.0, 10.0, 301)
+        b = fde_sigma(m, P, times)
+        one = [fde_sigma(m, P, float(t)) for t in times]
+        for f in dataclasses.fields(b):
+            col = getattr(b, f.name)
+            assert col.shape == times.shape
+            assert np.array_equal(col, [getattr(o, f.name) for o in one]), f.name
+            assert isinstance(getattr(one[-1], f.name), float)

@@ -290,6 +290,35 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert not (tmp_path / "out.csv").exists()
 
 
+def _bad_range_and_step_cases(tmp_path):
+    flight = ["--dt", "1 h", "--duration", "0.5 h", "--groups", "1", "--flights", "2"]
+    return {
+        "grid-negative-N": ["grid", "--n-range=-1e-3,-1e-2,3"],
+        "grid-nan-N": ["grid", "--n-range", "nan,1e-2,3"],
+        "grid-negative-K": ["grid", "--k-range=-1e-3,-1e-2,3"],
+        "grid-nan-K": ["grid", "--k-range", "nan,1e-2,3"],
+        "grid-zero-Tc": ["grid", "--tc", "0 h"],
+        "contour-negative-N": ["contour", "--n-range=-1e-3,-1e-2,3"],
+        "contour-nan-N": ["contour", "--n-range", "nan,1e-2,3"],
+        "contour-zero-Tc": ["contour", "--tc", "0 h"],
+        "simulate-dt-past-the-end": ["simulate", *flight],
+        "simulate-dt-past-the-end-report": ["simulate", *flight, "--report",
+                                            str(tmp_path / "report.json")],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "grid-negative-N", "grid-nan-N", "grid-negative-K", "grid-nan-K",
+    "grid-zero-Tc", "contour-negative-N", "contour-nan-N", "contour-zero-Tc",
+    "simulate-dt-past-the-end", "simulate-dt-past-the-end-report"])
+def test_bad_range_or_step_exits_2_with_one_line(tmp_path, capsys, case):
+    out = tmp_path / "out.csv"
+    assert main(_bad_range_and_step_cases(tmp_path)[case] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gyrofde: error: ")
+    assert not out.exists() and not (tmp_path / "report.json").exists()
+
+
 def test_closed_form_commands_load_no_scipy(tmp_path):
     """import gyrofde.cli and every command that needs no sampling or dof
     band stays clear of scipy (its import dominates a cold start)."""

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -233,3 +235,16 @@ def test_rate_trace_from_csv_rejects_bad_rows(tmp_path, rows, line, what):
     with pytest.raises(ValueError, match=f"trace.csv:{line}: {what}"):
         RateTrace.from_csv(path)
 
+
+
+def test_rate_trace_csv_bytes_match_csv_writer(tmp_path):
+    trace = synthesize_rate_trace(GyroErrorModel.from_deg(0.005, ((0.01, 1.0),)),
+                                  0.2, SEC, seed=3)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["t_h", "rate_deg_per_h"])
+    for i, r in enumerate(trace.samples):
+        w.writerow([f"{(i + 1) * trace.dt:.17g}", f"{r / DEG:.17g}"])
+    assert path.read_bytes() == ref.getvalue().encode()

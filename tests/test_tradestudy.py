@@ -168,3 +168,22 @@ class TestContour:
         lines = path.read_text().splitlines()
         assert lines[0] == "N_deg_sqrth,K_deg_h32,feasible"
         assert lines[1].endswith(",1") and lines[2].endswith(",0")
+
+
+class TestSolveKExact:
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(min_value=1e-5, max_value=2e-2),
+           st.floats(min_value=0.05, max_value=20.0),
+           st.floats(min_value=5.0, max_value=100.0))
+    def test_two_sigma_on_target(self, N_deg, Tc, target_km):
+        r = RequirementTarget(fde95=target_km)
+        k = solve_K(N_deg * DEG, Tc, r)
+        noise_only = fde95_of(GyroErrorModel(NoiseSpec(N_deg * DEG)), r)
+        assert (k is None) == (noise_only > r.fde95)
+        if k is not None:
+            achieved = fde95_of(GyroErrorModel(NoiseSpec(N_deg * DEG),
+                                               (DriftSpec(k, Tc),)), r)
+            assert abs(achieved - r.fde95) / r.fde95 <= 1e-12
+
+    def test_compliance_verdict_is_a_python_bool(self):
+        assert type(check_requirement(model(0.005, 0.01), RNP10).passed) is bool
