@@ -12,8 +12,7 @@ from .allan import (AllanCurve, AllanLandmarks, allan_deviation_analytic,
 from .budget import (ErrorBudget, FlightProfile, atrk_variance, fde_sigma,
                      turnon_fraction, xtrk_variance)
 from .gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
-                   drift_stationary_std, init_drift_state, noise_sample,
-                   step_drift, substream, synthesize_rate_trace)
+                   drift_stationary_std, substream, synthesize_rate_trace)
 from .montecarlo import (ComparisonReport, EnsembleStats, FlightSample,
                          compare_to_analytic, run_ensemble, simulate_flight)
 from .tradestudy import (ComplianceResult, ContourResult, RequirementTarget,
@@ -26,8 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Quantity", "UnitError", "convert", "parse_quantity",
     "NoiseSpec", "DriftSpec", "GyroErrorModel", "RateTrace",
-    "drift_stationary_std", "init_drift_state", "step_drift", "noise_sample",
-    "synthesize_rate_trace", "substream",
+    "drift_stationary_std", "synthesize_rate_trace", "substream",
     "AllanCurve", "AllanLandmarks", "allan_variance_analytic",
     "allan_deviation_analytic", "allan_variance_empirical",
     "allan_landmarks_analytic", "identify_from_max", "default_tau_grid",

@@ -16,14 +16,13 @@ sqrt(3) N/K) cannot do because it carries no Tc information.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import _budget, _drift_pairs
+from ._io import write_csv, write_json
+from ._series import atrk_inflight_shape
 from .gyro import DriftSpec, GyroErrorModel, RateTrace
 from .units import DEG, HOUR_S
 
@@ -61,11 +60,8 @@ class AllanCurve:
 
     def to_csv(self, path) -> None:
         """Header ``tau_s,sigma_deg_per_h``."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["tau_s", "sigma_deg_per_h"])
-            for tau, sig in zip(self.taus, self.sigmas):
-                w.writerow([f"{tau * HOUR_S:.17g}", f"{sig / DEG:.17g}"])
+        write_csv(path, ("tau_s", "sigma_deg_per_h"),
+                  self.taus * HOUR_S, self.sigmas / DEG)
 
 
 @dataclass
@@ -119,12 +115,15 @@ def allan_variance_analytic(m: GyroErrorModel, tau) -> np.ndarray | float:
     """Closed-form Allan variance at tau (h); accepts scalars or arrays. rad^2/h^2.
 
     A drift's term is its along-track in-flight variance on a unit-radius
-    flight of length tau, over tau^2: the budget kernel, series included.
+    flight of length tau, over tau^2: K^2 Tc^3 times the along-track shape at
+    tau/Tc, series included.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("tau must be > 0")
-    drift = _budget(0.0, _drift_pairs(m), False, 1.0, 0.0, tau).atrk_drift
+    drift = 0.0 * tau
+    for d in m.drifts:
+        drift = drift + d.K * d.K * d.Tc ** 3 * atrk_inflight_shape(tau / d.Tc)
     return (m.noise.N ** 2 / tau + drift / (tau * tau))[()]
 
 
@@ -257,9 +256,7 @@ def identify_from_max(tau_max: float, sigma_max: float) -> DriftSpec:
 
 def landmarks_to_json(path, lm: AllanLandmarks,
                       identified: DriftSpec | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(lm.report(identified), fh, indent=2)
-        fh.write("\n")
+    write_json(path, lm.report(identified))
 
 
 # --------------------------------------------------------------------------

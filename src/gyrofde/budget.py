@@ -20,11 +20,11 @@ x^5/20 cross-track).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv
 from ._series import atrk_inflight_shape, xminus_em, xtrk_inflight_shape
 from .gyro import GyroErrorModel
 from .units import NMI_KM
@@ -183,14 +183,10 @@ def budget_series_to_csv(path, m: GyroErrorModel, p: FlightProfile,
                          times) -> None:
     """ErrorBudget CSV over a time grid: sigmas, 95% figure, per-term variances."""
     b = fde_sigma(m, p, times)
-    cols = (b.t, b.sigma_atrk, b.sigma_xtrk, b.sigma_fde, b.fde95_nmi,
-            b.atrk_noise, b.atrk_drift, b.atrk_turnon,
-            b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_h", "sigma_atrk_km", "sigma_xtrk_km", "sigma_fde_km",
-                    "fde95_nmi", "atrk_noise_km2", "atrk_drift_km2",
-                    "atrk_turnon_km2", "xtrk_noise_km2", "xtrk_drift_km2",
-                    "xtrk_turnon_km2"])
-        w.writerows([f"{v:.17g}" for v in row]
-                    for row in np.column_stack(cols).tolist())
+    write_csv(path, ("t_h", "sigma_atrk_km", "sigma_xtrk_km", "sigma_fde_km",
+                     "fde95_nmi", "atrk_noise_km2", "atrk_drift_km2",
+                     "atrk_turnon_km2", "xtrk_noise_km2", "xtrk_drift_km2",
+                     "xtrk_turnon_km2"),
+              b.t, b.sigma_atrk, b.sigma_xtrk, b.sigma_fde, b.fde95_nmi,
+              b.atrk_noise, b.atrk_drift, b.atrk_turnon,
+              b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon)

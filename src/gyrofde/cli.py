@@ -27,6 +27,7 @@ import numpy as np
 
 from . import allan as allan_mod
 from . import tradestudy as ts
+from ._io import write_json
 from .budget import FlightProfile, budget_series_to_csv
 from .gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
                    synthesize_rate_trace)
@@ -187,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flights", type=int, default=100)
     p.add_argument("--stat-stride", type=int, default=0,
                    help="record stats every this many steps (0 = auto)")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes for the flight groups (output is identical)")
     p.add_argument("--out", required=True, help="ensemble CSV")
     p.add_argument("--report", help="comparison report JSON")
 
@@ -235,9 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _logspace_arg(text: str, name: str) -> np.ndarray:
     try:
         lo, hi, n = text.split(",")
-        return np.geomspace(float(lo), float(hi), int(n))
+        lo, hi = float(lo), float(hi)
+        # checked first: numpy warns on stderr before it fails on an infinite end
+        if np.isfinite(lo) and np.isfinite(hi):
+            return np.geomspace(lo, hi, int(n))
     except ValueError:
-        raise ConfigError(f"{name}: expected 'lo,hi,points', got {text!r}") from None
+        pass
+    raise ConfigError(f"{name}: expected 'lo,hi,points' with finite ends, got {text!r}")
 
 
 def _target(args, cfg: RunConfig) -> ts.RequirementTarget:
@@ -338,12 +344,7 @@ def _cmd_fit_allan(args) -> int:
     d = allan_mod.identify_from_max(tau_max, sigma_max)
     doc = {"K_deg_per_h32": d.K / DEG, "Tc_h": d.Tc,
            "tau_max_s": tau_max * 3600.0, "sigma_max_deg_per_h": sigma_max / DEG}
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_json(args.out or None, doc)
     return 0
 
 
@@ -380,9 +381,8 @@ def _cmd_check(args) -> int:
     if args.out:
         ts.compliance_to_json(args.out, res, cfg.model, notes)
     else:
-        doc = {"pass": res.passed, "fde95_nmi": res.fde95_nmi,
-               "margin_nmi": res.margin_nmi, "notes": notes}
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        write_json(None, {"pass": res.passed, "fde95_nmi": res.fde95_nmi,
+                          "margin_nmi": res.margin_nmi, "notes": notes})
     return 0 if res.passed else 1
 
 

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._io import write_csv
 from .units import DEG
 
 __all__ = [
     "NoiseSpec", "DriftSpec", "GyroErrorModel", "RateTrace",
-    "substream", "drift_stationary_std", "init_drift_state", "step_drift",
-    "noise_sample", "synthesize_rate_trace",
+    "substream", "drift_stationary_std", "synthesize_rate_trace",
 ]
 
 
@@ -95,13 +95,9 @@ class RateTrace:
                 f"{n} samples x dt={self.dt} != duration={self.duration}")
 
     def to_csv(self, path) -> None:
-        """Header ``t_h,rate_deg_per_h``; timestamps at interval ends; 17 sig digits."""
-        dt = self.dt
-        # the bytes csv.writer would write, \r\n terminators included
-        with open(path, "w", newline="") as fh:
-            fh.write("t_h,rate_deg_per_h\r\n")
-            fh.writelines(f"{(i + 1) * dt:.17g},{r:.17g}\r\n"
-                          for i, r in enumerate((self.samples / DEG).tolist()))
+        """Header ``t_h,rate_deg_per_h``; timestamps at interval ends."""
+        write_csv(path, ("t_h", "rate_deg_per_h"),
+                  np.arange(1, len(self.samples) + 1) * self.dt, self.samples / DEG)
 
     @classmethod
     def from_csv(cls, path) -> "RateTrace":
@@ -158,40 +154,18 @@ def drift_stationary_std(d: DriftSpec) -> float:
     return d.K * math.sqrt(d.Tc / 2.0)
 
 
-def init_drift_state(d: DriftSpec, rng: np.random.Generator,
-                     turn_on: bool = True) -> float:
-    """Draw the drift state at t=0; exactly 0 (and no draw) when turn_on is off."""
-    if not turn_on:
-        return 0.0
-    return drift_stationary_std(d) * float(rng.standard_normal())
-
-
-def step_drift(state: float, d: DriftSpec, dt: float,
-               rng: np.random.Generator) -> float:
-    """Advance the drift state by dt: decay through exp(-dt/Tc), add K sqrt(dt) impulse."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    return state * math.exp(-dt / d.Tc) + (d.K * math.sqrt(dt)) * float(rng.standard_normal())
-
-
-def noise_sample(n: NoiseSpec, dt: float, rng: np.random.Generator) -> float:
-    """One white-noise rate sample with std N/sqrt(dt)."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    return (n.N / math.sqrt(dt)) * float(rng.standard_normal())
-
-
 def _drift_states(d: DriftSpec, n_steps: int, dt: float,
                   init_rng: np.random.Generator,
                   sample_rng: np.random.Generator, turn_on: bool) -> np.ndarray:
     """States s_0..s_{n-1} held over each step interval (zero-order hold).
 
-    s_0 is the turn-on draw (or 0); s_j = s_{j-1} exp(-dt/Tc) + K sqrt(dt) w_j.
-    Bit-identical to looping init_drift_state/step_drift on the same streams.
+    s_0 is the turn-on draw from the stationary distribution (or exactly 0,
+    with no draw); s_j = s_{j-1} exp(-dt/Tc) + K sqrt(dt) w_j.  The tests pin
+    this bit for bit to the stepwise loop of ``tests/oracles.py``.
     """
     from scipy.signal import lfilter
 
-    s0 = init_drift_state(d, init_rng, turn_on)
+    s0 = drift_stationary_std(d) * float(init_rng.standard_normal()) if turn_on else 0.0
     if n_steps == 1:
         return np.array([s0])
     q = math.exp(-dt / d.Tc)

@@ -10,24 +10,19 @@ independent of execution order and worker count.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from .budget import FlightProfile, fde_sigma
 from .gyro import GyroErrorModel, _rate_series
 
 __all__ = [
     "FlightSample", "EnsembleStats", "ComparisonReport",
     "simulate_flight", "run_ensemble", "compare_to_analytic",
-    "WORKERS_ENV_VAR",
 ]
-
-WORKERS_ENV_VAR = "GYROFDE_WORKERS"
 
 
 @dataclass
@@ -60,15 +55,11 @@ class EnsembleStats:
     master_seed: int
 
     def to_csv(self, path) -> None:
-        """Header ``t_h,group,std_atrk_km,std_xtrk_km``."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_h", "group", "std_atrk_km", "std_xtrk_km"])
-            for g in range(self.n_groups):
-                for j, t in enumerate(self.times):
-                    w.writerow([f"{t:.17g}", g,
-                                f"{self.std_atrk[g, j]:.17g}",
-                                f"{self.std_xtrk[g, j]:.17g}"])
+        """Header ``t_h,group,std_atrk_km,std_xtrk_km``, group-major."""
+        write_csv(path, ("t_h", "group", "std_atrk_km", "std_xtrk_km"),
+                  np.tile(self.times, self.n_groups),
+                  np.repeat(np.arange(self.n_groups), len(self.times)),
+                  self.std_atrk.ravel(), self.std_xtrk.ravel())
 
 
 def _flight_errors(m: GyroErrorModel, p: FlightProfile,
@@ -113,14 +104,13 @@ def _group_accumulators(args):
 
 def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
                  n_groups: int, master_seed: int, stat_stride: int = 1,
-                 n_workers: int | None = None) -> EnsembleStats:
+                 n_workers: int = 1) -> EnsembleStats:
     """Simulate n_groups x n_flights flights and reduce to per-time group stds.
 
     ``stat_stride`` thins the time grid the statistics are recorded on (the
     simulation itself always runs at the profile step).  ``n_workers`` groups
     may run in separate processes; the result is bit-identical for any worker
-    count because each group is reduced independently in flight order
-    (default from the GYROFDE_WORKERS environment variable, else serial).
+    count because each group is reduced independently in flight order.
     """
     if n_flights < 2:
         raise ValueError("need at least 2 flights per group")
@@ -128,8 +118,8 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
         raise ValueError("need at least 1 group")
     if stat_stride < 1:
         raise ValueError("stat_stride must be >= 1")
-    if n_workers is None:
-        n_workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+    if n_workers < 1:
+        raise ValueError(f"need at least 1 worker, got {n_workers}")
 
     n = p.n_steps
     idx = np.arange(0, n + 1, stat_stride)
@@ -200,9 +190,7 @@ class ComparisonReport:
                 "pooled_rel_dev": self.pooled_rel_dev_xtrk.tolist(),
             },
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_json(path, doc)
 
     def coverage_at(self, t: float, axis: str) -> float:
         j = int(np.argmin(np.abs(self.times - t)))

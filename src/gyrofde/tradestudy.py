@@ -10,13 +10,12 @@ smallest crossing.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from .budget import FlightProfile, _budget, fde_sigma
 from .gyro import DriftSpec, GyroErrorModel, NoiseSpec, drift_stationary_std
 from .units import DEG, NMI_KM
@@ -168,14 +167,11 @@ class ContourResult:
             for k in self.K_values])
 
     def to_csv(self, path) -> None:
-        """Header ``N_deg_sqrth,K_deg_h32,feasible``."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N_deg_sqrth", "K_deg_h32", "feasible"])
-            for n, k, ok in zip(self.N_values, self.K_values, self.feasible):
-                w.writerow([f"{n / DEG:.17g}",
-                            "" if not ok else f"{k / DEG:.17g}",
-                            int(ok)])
+        """Header ``N_deg_sqrth,K_deg_h32,feasible``; K is empty where infeasible."""
+        write_csv(path, ("N_deg_sqrth", "K_deg_h32", "feasible"),
+                  self.N_values / DEG,
+                  np.where(self.feasible, self.K_values / DEG, np.nan),
+                  self.feasible)
 
 
 def solve_K_contour(N_values, Tc: float, r: RequirementTarget) -> ContourResult:
@@ -208,13 +204,11 @@ def fde_grid(N_range, K_range, Tc: float, r: RequirementTarget) -> np.ndarray:
 
 def grid_to_csv(path, N_range, K_range, grid_km: np.ndarray) -> None:
     """Header ``N_deg_sqrth,K_deg_h32,fde95_nmi``, row-major over (N, K)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["N_deg_sqrth", "K_deg_h32", "fde95_nmi"])
-        for i, n in enumerate(N_range):
-            for j, k in enumerate(K_range):
-                w.writerow([f"{n / DEG:.17g}", f"{k / DEG:.17g}",
-                            f"{grid_km[i, j] / NMI_KM:.17g}"])
+    N_range, K_range = np.asarray(N_range), np.asarray(K_range)
+    write_csv(path, ("N_deg_sqrth", "K_deg_h32", "fde95_nmi"),
+              np.repeat(N_range / DEG, len(K_range)),
+              np.tile(K_range / DEG, len(N_range)),
+              (grid_km / NMI_KM).ravel())
 
 
 def compliance_to_json(path, res: ComplianceResult, m: GyroErrorModel,
@@ -239,6 +233,4 @@ def compliance_to_json(path, res: ComplianceResult, m: GyroErrorModel,
         },
         "notes": notes or [],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)

@@ -5,13 +5,16 @@ position-gain of one unit impulse per time bin: the impulse's rate response
 decays geometrically; its heading gain is the rate summed over later bins,
 and its cross-track gain is the heading summed again.  Everything is plain
 cumulative-sum arithmetic; none of the package's bracket expressions appear.
-The scalar shape series at the end are the one exception: they are the
-reference for the package's array kernels.
+Two references follow: the scalar shape series, for the package's array
+kernels, and the one-step drift and noise operations, for its vectorized
+rate synthesis.
 """
 
 import math
 
 import numpy as np
+
+from gyrofde.gyro import DriftSpec, NoiseSpec, drift_stationary_std
 
 
 def atrk_drift_var(K: float, Tc: float, R: float, t: float, n: int = 10_000) -> float:
@@ -100,3 +103,29 @@ def xminus_em(x: float) -> float:
         total -= term  # sum_{k>=2} (-1)^k x^k / k!
         if abs(term) < _TOL * max(abs(total), 1e-300):
             return total
+
+
+# One step at a time, the operations the vectorized rate synthesis
+# (gyro._rate_series) must reproduce bit for bit on the same streams.
+
+def init_drift_state(d: DriftSpec, rng: np.random.Generator,
+                     turn_on: bool = True) -> float:
+    """Draw the drift state at t=0; exactly 0 (and no draw) when turn_on is off."""
+    if not turn_on:
+        return 0.0
+    return drift_stationary_std(d) * float(rng.standard_normal())
+
+
+def step_drift(state: float, d: DriftSpec, dt: float,
+               rng: np.random.Generator) -> float:
+    """Advance the drift state by dt: decay through exp(-dt/Tc), add K sqrt(dt) impulse."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    return state * math.exp(-dt / d.Tc) + (d.K * math.sqrt(dt)) * float(rng.standard_normal())
+
+
+def noise_sample(n: NoiseSpec, dt: float, rng: np.random.Generator) -> float:
+    """One white-noise rate sample with std N/sqrt(dt)."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    return (n.N / math.sqrt(dt)) * float(rng.standard_normal())

@@ -265,6 +265,7 @@ def _bad_input_cases(tmp_path):
     return {
         "simulate-groups-0": ["simulate", "--groups", "0", "--out", out],
         "simulate-flights-1": ["simulate", "--flights", "1", "--out", out],
+        "simulate-workers-0": ["simulate", "--workers", "0", "--out", out],
         "check-negative-target": ["check", "--target", "-1 nmi"],
         "grid-zero-points": ["grid", "--n-range", "1e-3,1e-2,0", "--out", out],
         "allan-short-trace": ["allan", "--trace", short, "--empirical-out", out],
@@ -278,7 +279,8 @@ def _bad_input_cases(tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "simulate-groups-0", "simulate-flights-1", "check-negative-target",
+    "simulate-groups-0", "simulate-flights-1", "simulate-workers-0",
+    "check-negative-target",
     "grid-zero-points", "allan-short-trace", "allan-nan-trace",
     "allan-gap-trace", "analytic-points-0", "seed-true", "fit-allan-one-row",
     "fit-allan-bad-number"])
@@ -295,11 +297,13 @@ def _bad_range_and_step_cases(tmp_path):
     return {
         "grid-negative-N": ["grid", "--n-range=-1e-3,-1e-2,3"],
         "grid-nan-N": ["grid", "--n-range", "nan,1e-2,3"],
+        "grid-inf-N": ["grid", "--n-range", "1e-3,inf,3"],
         "grid-negative-K": ["grid", "--k-range=-1e-3,-1e-2,3"],
         "grid-nan-K": ["grid", "--k-range", "nan,1e-2,3"],
         "grid-zero-Tc": ["grid", "--tc", "0 h"],
         "contour-negative-N": ["contour", "--n-range=-1e-3,-1e-2,3"],
         "contour-nan-N": ["contour", "--n-range", "nan,1e-2,3"],
+        "contour-inf-N": ["contour", "--n-range", "1e-3,inf,3"],
         "contour-zero-Tc": ["contour", "--tc", "0 h"],
         "simulate-dt-past-the-end": ["simulate", *flight],
         "simulate-dt-past-the-end-report": ["simulate", *flight, "--report",
@@ -307,10 +311,13 @@ def _bad_range_and_step_cases(tmp_path):
     }
 
 
+# pytest captures warnings, which on a terminal would be extra stderr lines
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", [
-    "grid-negative-N", "grid-nan-N", "grid-negative-K", "grid-nan-K",
-    "grid-zero-Tc", "contour-negative-N", "contour-nan-N", "contour-zero-Tc",
-    "simulate-dt-past-the-end", "simulate-dt-past-the-end-report"])
+    "grid-negative-N", "grid-nan-N", "grid-inf-N", "grid-negative-K",
+    "grid-nan-K", "grid-zero-Tc", "contour-negative-N", "contour-nan-N",
+    "contour-inf-N", "contour-zero-Tc", "simulate-dt-past-the-end",
+    "simulate-dt-past-the-end-report"])
 def test_bad_range_or_step_exits_2_with_one_line(tmp_path, capsys, case):
     out = tmp_path / "out.csv"
     assert main(_bad_range_and_step_cases(tmp_path)[case] + ["--out", str(out)]) == 2

