@@ -5,10 +5,10 @@ Allan-deviation analysis and drift identification, seeded Monte-Carlo flight
 validation, and requirement trade-study solvers.
 """
 
-from .allan import (AllanCurve, AllanLandmarks, allan_deviation_analytic,
-                    allan_landmarks_analytic, allan_variance_analytic,
-                    allan_variance_empirical, confidence_band,
-                    default_tau_grid, estimator_dof, identify_from_max)
+from .allan import (AllanCurve, AllanLandmarks, allan_landmarks_analytic,
+                    allan_variance_analytic, allan_variance_empirical,
+                    confidence_band, default_tau_grid, estimator_dof,
+                    identify_from_max)
 from .budget import (ErrorBudget, FlightProfile, atrk_variance, fde_sigma,
                      turnon_fraction, xtrk_variance)
 from .gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
@@ -27,8 +27,8 @@ __all__ = [
     "NoiseSpec", "DriftSpec", "GyroErrorModel", "RateTrace",
     "drift_stationary_std", "synthesize_rate_trace", "substream",
     "AllanCurve", "AllanLandmarks", "allan_variance_analytic",
-    "allan_deviation_analytic", "allan_variance_empirical",
-    "allan_landmarks_analytic", "identify_from_max", "default_tau_grid",
+    "allan_variance_empirical", "allan_landmarks_analytic",
+    "identify_from_max", "default_tau_grid",
     "estimator_dof", "confidence_band",
     "FlightProfile", "ErrorBudget", "atrk_variance", "xtrk_variance",
     "fde_sigma", "turnon_fraction",

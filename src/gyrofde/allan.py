@@ -22,14 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv, write_json
-from ._series import atrk_inflight_shape
+from ._series import atrk_inflight_shape, xminus_em
 from .gyro import DriftSpec, GyroErrorModel, RateTrace
 from .units import DEG, HOUR_S
 
 __all__ = [
     "AllanCurve", "AllanLandmarks",
-    "allan_variance_analytic", "allan_deviation_analytic",
-    "allan_variance_empirical", "allan_landmarks_analytic",
+    "allan_variance_analytic", "allan_variance_empirical",
+    "allan_landmarks_analytic",
     "identify_from_max", "landmarks_to_json", "default_tau_grid",
     "estimator_dof", "confidence_band",
     "TAU_MAX_OVER_TC", "SIGMA_MAX_OVER_K_SQRT_TC",
@@ -51,10 +51,10 @@ class AllanCurve:
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=float)
         self.sigmas = np.asarray(self.sigmas, dtype=float)
-        if np.any(np.diff(self.taus) <= 0):
-            raise ValueError("taus must be strictly increasing")
-        if not np.all(self.sigmas >= 0):
-            raise ValueError("sigmas must be >= 0 (and not NaN)")
+        if not np.all(np.diff(self.taus, prepend=0.0) > 0):
+            raise ValueError("taus must be > 0 and strictly increasing")
+        if not np.all(np.isfinite(self.sigmas) & (self.sigmas >= 0)):
+            raise ValueError("sigmas must be finite and >= 0")
         if self.source not in ("analytic", "empirical"):
             raise ValueError(f"bad source {self.source!r}")
 
@@ -125,10 +125,6 @@ def allan_variance_analytic(m: GyroErrorModel, tau) -> np.ndarray | float:
     for d in m.drifts:
         drift = drift + d.K * d.K * d.Tc ** 3 * atrk_inflight_shape(tau / d.Tc)
     return (m.noise.N ** 2 / tau + drift / (tau * tau))[()]
-
-
-def allan_deviation_analytic(m: GyroErrorModel, tau) -> np.ndarray | float:
-    return np.sqrt(allan_variance_analytic(m, tau))
 
 
 def default_tau_grid(dt: float, duration: float,
@@ -264,46 +260,38 @@ def landmarks_to_json(path, lm: AllanLandmarks,
 # estimator under the model, for confidence banding.
 # --------------------------------------------------------------------------
 
-def _window_sum_cov(d: DriftSpec, dt: float, m: int, max_lag: int) -> np.ndarray:
-    """Cov(S_0, S_L) for L = 0..max_lag, S_k = sum of m consecutive drift states.
-
-    The discrete chain is stationary with Cov(s_i, s_j) = V q^|i-j|,
-    V = K^2 dt / (1 - q^2); the window-sum covariance is that kernel
-    convolved with a triangle of half-width m.
-    """
-    from scipy.signal import fftconvolve
-
-    q = math.exp(-dt / d.Tc)
-    V = d.K * d.K * dt / (1.0 - q * q)
-    lags = np.arange(-(m - 1), max_lag + m)
-    kernel = V * q ** np.abs(lags)
-    tri = (m - np.abs(np.arange(-(m - 1), m))).astype(float)
-    full = fftconvolve(kernel, tri)
-    # full[i] corresponds to lag lags[0] + (-(m-1)) + i; lag 0 sits at 2(m-1)
-    out = full[2 * (m - 1): 2 * (m - 1) + max_lag + 1]
-    return out
-
-
 def _second_diff_cov(model: GyroErrorModel, dt: float, m: int,
                      max_lag: int) -> np.ndarray:
     """Cov(d_0, d_l), l = 0..max_lag, of overlapping second differences d_k of
-    the integrated rate, in (rad)^2 (angle units)."""
-    # white part: d is a +-1 weighted sum of m-blocks of iid increments
-    l = np.arange(max_lag + 1)
-    gw = np.zeros(max_lag + 1)
-    in1 = l <= m
-    gw[in1] = 2 * m - 3 * l[in1]
-    in2 = (l > m) & (l <= 2 * m)
-    gw[in2] = l[in2] - 2 * m
-    cov = model.noise.N ** 2 * dt * gw
-    # drift part via window-sum covariances, padded so index l+m exists
+    the integrated rate, in (rad)^2 (angle units).
+
+    d_k = dt (S_(k+m) - S_k), S_k the sum of the m rate samples from k, so
+
+        Cov(d_0, d_l) = -dt^2 [G(l+2m) - 4G(l+m) + 6G(l) - 4G(|l-m|) + G(|l-2m|)]
+
+    with G the even second sum of the rate autocovariance R (G(k+1) - 2G(k)
+    + G(k-1) = R(k)).  White noise has G = (N^2/dt)|k|/2.  A drift, the chain
+    R(k) = V q^|k| with q = e^-eps, eps = dt/Tc, V = K^2 dt/(1 - q^2), has
+    G = c [xminus_em(eps(|k|+1)) - xminus_em(2 eps)|k|/2] + const,
+    c = V/(1-q)^2; xminus_em keeps it accurate as eps -> 0.  For l >= 2m the
+    terms linear in |k| cancel exactly and each drift leaves the tail
+    -c q^(l-2m+1) (1 - q^m)^4.
+    """
+    lag = np.arange(max_lag + 1)
+    head = lag[: 2 * m]
+    k = np.arange(len(head) + 2 * m)
+    G = model.noise.N ** 2 / dt * k / 2.0
+    cov = np.zeros(max_lag + 1)
     for d in model.drifts:
-        cs = _window_sum_cov(d, dt, m, max_lag + m)
-        csl = cs[: max_lag + 1]
-        cs_plus = cs[m: m + max_lag + 1]
-        cs_minus = cs[np.abs(l - m)]
-        cov = cov + dt * dt * (2.0 * csl - cs_plus - cs_minus)
-    return cov
+        eps = dt / d.Tc
+        one_minus_q = -math.expm1(-eps)
+        c = d.K * d.K * dt / (one_minus_q ** 3 * (2.0 - one_minus_q))
+        G = G + c * (xminus_em(eps * (k + 1)) - xminus_em(2.0 * eps) * k / 2.0)
+        cov[2 * m:] -= (c * math.expm1(-m * eps) ** 4
+                        * np.exp(-eps * (lag[2 * m:] - 2 * m + 1)))
+    cov[: 2 * m] = -(G[head + 2 * m] - 4.0 * G[head + m] + 6.0 * G[head]
+                     - 4.0 * G[np.abs(head - m)] + G[np.abs(head - 2 * m)])
+    return dt * dt * cov
 
 
 def estimator_dof(model: GyroErrorModel, dt: float, n_samples: int,

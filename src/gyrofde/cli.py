@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +63,6 @@ class RunConfig:
     model: GyroErrorModel
     flight: FlightProfile
     seed: int = 0
-    raw: dict = field(default_factory=dict)
 
 
 def _quantity(node, path: str, dimension: str) -> float:
@@ -137,7 +137,7 @@ def parse_config(doc: dict, overrides: argparse.Namespace | None = None) -> RunC
     seed = doc.get("seed", DEFAULTS["seed"])
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed: expected integer, got {seed!r}")
-    return RunConfig(model=model, flight=profile, seed=seed, raw=doc)
+    return RunConfig(model=model, flight=profile, seed=seed)
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
@@ -246,6 +246,14 @@ def _logspace_arg(text: str, name: str) -> np.ndarray:
     raise ConfigError(f"{name}: expected 'lo,hi,points' with finite ends, got {text!r}")
 
 
+def _check_out_dirs(*paths) -> None:
+    """Fail before any work when an output's directory does not exist."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{path}: no such directory {parent!r}")
+
+
 def _target(args, cfg: RunConfig) -> ts.RequirementTarget:
     fde95 = parse_quantity(args.target, "length").canonical()
     return ts.RequirementTarget(fde95=fde95, flight=cfg.flight)
@@ -261,45 +269,55 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_out_dirs(args.out, args.report)
     cfg = load_config(args.config, args)
     stride = args.stat_stride
     if stride <= 0:
         stride = max(1, cfg.flight.n_steps // 40)
     stats = run_ensemble(cfg.model, cfg.flight, args.flights, args.groups,
                          cfg.seed, stat_stride=stride, n_workers=args.workers)
+    report = compare_to_analytic(stats, cfg.model, cfg.flight) if args.report else None
     stats.to_csv(args.out)
-    if args.report:
-        compare_to_analytic(stats, cfg.model, cfg.flight).to_json(args.report)
+    if report:
+        report.to_json(args.report)
     return 0
 
 
 def _cmd_allan(args) -> int:
+    """Compute every requested output, then write them: a run that fails
+    leaves no file behind."""
+    _check_out_dirs(args.synthesize_trace, args.analytic_out,
+                    args.empirical_out, args.landmarks_out)
+    if args.empirical_out and not (args.trace or args.synthesize_trace):
+        raise ConfigError("--empirical-out needs --trace or --synthesize-trace")
     cfg = load_config(args.config, args)
+    writes = []  # (write, path)
     trace = None
     if args.synthesize_trace:
         duration = parse_quantity(args.trace_duration, "time").canonical()
         trace = synthesize_rate_trace(cfg.model, duration, cfg.flight.dt, cfg.seed)
-        trace.to_csv(args.synthesize_trace)
+        writes.append((trace.to_csv, args.synthesize_trace))
     if args.analytic_out:
         dt, dur = cfg.flight.dt, cfg.flight.duration
         taus = allan_mod.default_tau_grid(dt, dur) * 1.0
         curve = allan_mod.AllanCurve(
             taus=taus, sigmas=np.sqrt(allan_mod.allan_variance_analytic(cfg.model, taus)),
             source="analytic")
-        curve.to_csv(args.analytic_out)
+        writes.append((curve.to_csv, args.analytic_out))
     if args.empirical_out:
         if args.trace:
             trace = RateTrace.from_csv(args.trace)
-        if trace is None:
-            raise ConfigError("--empirical-out needs --trace or --synthesize-trace")
         taus = allan_mod.default_tau_grid(trace.dt, trace.duration)
-        allan_mod.allan_variance_empirical(trace, taus).to_csv(args.empirical_out)
+        writes.append((allan_mod.allan_variance_empirical(trace, taus).to_csv,
+                       args.empirical_out))
     if args.landmarks_out:
         lm = allan_mod.allan_landmarks_analytic(cfg.model)
-        ident = None
-        if lm.tau_max is not None:
-            ident = allan_mod.identify_from_max(lm.tau_max, lm.sigma_max)
-        allan_mod.landmarks_to_json(args.landmarks_out, lm, ident)
+        ident = (None if lm.tau_max is None
+                 else allan_mod.identify_from_max(lm.tau_max, lm.sigma_max))
+        writes.append((lambda path: allan_mod.landmarks_to_json(path, lm, ident),
+                       args.landmarks_out))
+    for write, path in writes:
+        write(path)
     return 0
 
 
@@ -320,22 +338,24 @@ def _interior_maximum(sig: np.ndarray) -> int | None:
 
 def _cmd_fit_allan(args) -> int:
     if args.curve:
-        with warnings.catch_warnings():
+        with open(args.curve) as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data: caught below
             try:
-                rows = np.loadtxt(args.curve, delimiter=",", skiprows=1, ndmin=2)
+                if fh.readline().strip() != "tau_s,sigma_deg_per_h":
+                    raise ValueError("expected header tau_s,sigma_deg_per_h")
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+                if rows.shape[1] != 2:
+                    raise ValueError("expected columns tau_s,sigma_deg_per_h")
+                curve = allan_mod.AllanCurve(rows[:, 0] / 3600.0, rows[:, 1] * DEG,
+                                             "empirical")
             except ValueError as e:
                 raise ConfigError(f"{args.curve}: {e}") from None
-        if rows.shape[1] != 2:
-            raise ConfigError(f"{args.curve}: expected columns tau_s,sigma_deg_per_h")
-        taus_h = rows[:, 0] / 3600.0
-        sig = rows[:, 1] * DEG
-        i = _interior_maximum(sig)
+        i = _interior_maximum(curve.sigmas)
         if i is None:
             raise ConfigError(
                 f"{args.curve}: no interior Allan maximum; the record is too "
                 "short (or too noisy) to resolve the drift maximum")
-        tau_max, sigma_max = float(taus_h[i]), float(sig[i])
+        tau_max, sigma_max = float(curve.taus[i]), float(curve.sigmas[i])
     elif args.tau_max and args.sigma_max:
         tau_max = parse_quantity(args.tau_max, "time").canonical()
         sigma_max = parse_quantity(args.sigma_max, "rate").canonical()

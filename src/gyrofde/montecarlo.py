@@ -32,7 +32,6 @@ class FlightSample:
     times: np.ndarray
     atrk_err: np.ndarray
     xtrk_err: np.ndarray
-    seed_key: tuple
 
     def __post_init__(self):
         if not (len(self.times) == len(self.atrk_err) == len(self.xtrk_err)):
@@ -81,10 +80,7 @@ def _flight_errors(m: GyroErrorModel, p: FlightProfile,
 
 def simulate_flight(m: GyroErrorModel, p: FlightProfile, seed) -> FlightSample:
     """Simulate one flight; ``seed`` is an int or a keyed SeedSequence."""
-    times, atrk, xtrk = _flight_errors(m, p, seed)
-    key = (seed.entropy, *seed.spawn_key) if isinstance(seed, np.random.SeedSequence) \
-        else (seed,)
-    return FlightSample(times=times, atrk_err=atrk, xtrk_err=xtrk, seed_key=key)
+    return FlightSample(*_flight_errors(m, p, seed))
 
 
 def _group_accumulators(args):

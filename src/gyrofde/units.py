@@ -61,15 +61,6 @@ _SCALE: dict[str, float] = {
 
 KNOWN_UNITS = frozenset(_UNIT_DIMENSION)
 
-CANONICAL = {
-    "rate": "rad_per_h",
-    "arw": "rad_per_sqrt_h",
-    "rrw": "rad_per_h_3_2",
-    "time": "h",
-    "length": "km",
-    "speed": "km_per_h",
-}
-
 
 class UnitError(ValueError):
     """Unknown unit tag or dimensionally incompatible conversion."""
@@ -96,9 +87,6 @@ class Quantity:
     @property
     def dimension(self) -> str:
         return _UNIT_DIMENSION[self.unit]
-
-    def to(self, unit: str) -> "Quantity":
-        return convert(self, unit)
 
     def canonical(self) -> float:
         """Value expressed in the canonical unit of its dimension."""

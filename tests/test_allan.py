@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,3 +249,111 @@ def test_curve_validation_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "tau_s,sigma_deg_per_h"
     assert float(lines[1].split(",")[0]) == pytest.approx(3600.0)
+
+
+def test_curve_rejects_nonpositive_tau_and_infinite_sigma():
+    for taus in ([0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="taus"):
+            AllanCurve(taus=taus, sigmas=[1.0, 1.0], source="empirical")
+    with pytest.raises(ValueError, match="sigmas"):
+        AllanCurve(taus=[1.0, 2.0], sigmas=[1.0, np.inf], source="empirical")
+
+
+# The Allan-trace model of the benchmark, the navigation-grade point, and
+# models at the extremes of eps = dt/Tc.
+DOF_MODELS = {
+    "noise-only": GyroErrorModel.from_deg(5e-4, ()),
+    "allan-trace": GyroErrorModel.from_deg(1e-4, ((0.03, 0.05),)),
+    "navigation-grade": GyroErrorModel.from_deg(0.005, ((0.01, 1.0),)),
+    "drift-only-Tc-100h": GyroErrorModel.from_deg(0.0, ((0.01, 100.0),)),
+    "three-drifts": GyroErrorModel.from_deg(
+        0.005, ((0.01, 1.0), (0.003, 10.0), (0.05, 0.002))),
+}
+
+
+def _second_diff_cov_exact(model, dt, m, max_lag):
+    """dt^2 [2C(l) - C(l+m) - C(l-m)], C(L) = sum_u (m-|u|) R(L+u), summed in
+    exact rationals from the float model parameters."""
+    dt_q = Fraction(dt)
+    white = Fraction(model.noise.N) ** 2 / dt_q
+    drifts = []
+    for d in model.drifts:
+        q = Fraction(math.exp(-dt / d.Tc))
+        drifts.append((Fraction(d.K) ** 2 * dt_q / (1 - q * q), q))
+
+    def R(k):
+        return (white if k == 0 else 0) + sum(V * q ** abs(k) for V, q in drifts)
+
+    def C(L):
+        return sum((m - abs(u)) * R(L + u) for u in range(-(m - 1), m))
+
+    return [dt_q ** 2 * (2 * C(l) - C(l + m) - C(l - m)) for l in range(max_lag + 1)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("name", list(DOF_MODELS))
+def test_second_diff_cov_matches_exact_sum(name, m):
+    model = DOF_MODELS[name]
+    max_lag = 4 * m + 2  # both sides of l = 2m, where the tail takes over
+    exact = [float(c) for c in _second_diff_cov_exact(model, SEC, m, max_lag)]
+    got = allan._second_diff_cov(model, SEC, m, max_lag)
+    assert len(got) == max_lag + 1
+    np.testing.assert_allclose(got, exact, rtol=0, atol=1e-9 * exact[0])
+
+
+# estimator_dof on default_tau_grid(1 s, 24 h), 86,400 samples, as computed
+# by the former FFT window-sum convolution.
+DOF_24H = {
+    "allan-trace": [
+        49702.11364622308, 38391.50183848464, 30610.294765159513,
+        25318.276392472893, 21557.9380944116, 16598.343012437483,
+        13442.809195414808, 10318.456152953153, 8202.85280573457,
+        6259.279001385907, 4441.716035812217, 3226.9297282127563,
+        2428.14548534273, 1804.8271594245234, 1387.477627154303,
+        1070.3085209418828, 830.6840032016769, 655.2473343694811,
+        517.2502375238761, 413.1032192400155, 331.4659080206084,
+        266.09151284704575, 214.29414300272407, 172.94013588127063,
+        140.004753110192, 113.38524712806556, 91.98907229565638,
+        74.6287104787314, 60.49459076306267, 48.93277218643736,
+        39.45075065033846, 31.644525579379795, 25.21822397625452,
+        19.950359232308507, 15.647313032644236, 12.146620606155288,
+        9.317226710651546, 7.045107574227813, 5.242001896548335],
+    "navigation-grade": [
+        49370.219311203786, 37930.14469371083, 30050.43310648699,
+        24683.87167407128, 20873.26163742239, 15887.67792437622,
+        12797.987558364937, 9893.999549332784, 8058.599360404544,
+        6457.775111361869, 4973.39617183114, 3920.7816988212358,
+        3156.6788679110655, 2489.267332038005, 1991.4395587252704,
+        1578.471207869242, 1244.4062624953892, 987.7780346562446,
+        779.3962219183834, 618.9799748809215, 491.8836569263196,
+        389.70383979006846, 308.8733851615194, 244.73280055937056,
+        194.11801486129545, 153.6255974987704, 121.36072466180518,
+        95.3240702525863, 74.20211575241682, 57.06574594325168,
+        43.34024436328479, 32.57758103821551, 24.36283468463147,
+        18.235936515573442, 13.704350866744, 10.337049756796567,
+        7.806403958563336, 5.875890003777217, 4.3908994842486955],
+}
+
+
+@pytest.mark.parametrize("name", list(DOF_24H))
+def test_estimator_dof_matches_convolution_values(name):
+    nu = estimator_dof(DOF_MODELS[name], SEC, 86_400, default_tau_grid(SEC, 24.0))
+    np.testing.assert_allclose(nu, DOF_24H[name], rtol=1e-12, atol=0)
+
+
+def test_estimator_dof_loads_no_scipy():
+    """The dof is closed form; only confidence_band's chi-square needs scipy."""
+    script = (
+        "import sys\n"
+        "from gyrofde.allan import default_tau_grid, estimator_dof\n"
+        "from gyrofde.gyro import GyroErrorModel\n"
+        "m = GyroErrorModel.from_deg(1e-4, ((0.03, 0.05),))\n"
+        "estimator_dof(m, 1 / 3600, 86400, default_tau_grid(1 / 3600, 24.0))\n"
+        "scipy = sorted(k for k in sys.modules if k.startswith('scipy'))\n"
+        "assert not scipy, scipy\n")
+    src = str(pathlib.Path(allan.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -261,6 +261,15 @@ def _bad_input_cases(tmp_path):
     one_row.write_text("tau_s,sigma_deg_per_h\n10,0.1\n")
     bad_number = tmp_path / "bad_number.csv"
     bad_number.write_text("tau_s,sigma_deg_per_h\n10,0.1\n20,abc\n30,0.1\n")
+    curves = {}
+    for name, body in (
+            ("nan-sigma", "100,0.01\n1000,0.03\n3600,0.02\n7200,nan\n"),
+            ("unordered-taus", "10,0.01\n1000,0.03\n100,0.02\n"),
+            ("negative-tau", "-1,0.01\n100,0.03\n1000,0.02\n")):
+        curves[name] = tmp_path / f"{name}.csv"
+        curves[name].write_text("tau_s,sigma_deg_per_h\n" + body)
+    rate_trace = _write_trace(tmp_path / "rate_trace.csv",
+                              [(1 / 3600, 0.01), (2 / 3600, 0.03), (3 / 3600, 0.02)])
     out = str(tmp_path / "out.csv")
     return {
         "simulate-groups-0": ["simulate", "--groups", "0", "--out", out],
@@ -275,6 +284,13 @@ def _bad_input_cases(tmp_path):
         "seed-true": ["analytic", "--config", seed_true, "--out", out],
         "fit-allan-one-row": ["fit-allan", "--curve", str(one_row), "--out", out],
         "fit-allan-bad-number": ["fit-allan", "--curve", str(bad_number), "--out", out],
+        "fit-allan-nan-sigma": ["fit-allan", "--curve", str(curves["nan-sigma"]),
+                                "--out", out],
+        "fit-allan-rate-trace": ["fit-allan", "--curve", rate_trace, "--out", out],
+        "fit-allan-unordered-taus": ["fit-allan", "--curve",
+                                     str(curves["unordered-taus"]), "--out", out],
+        "fit-allan-negative-tau": ["fit-allan", "--curve", str(curves["negative-tau"]),
+                                   "--out", out],
     }
 
 
@@ -283,13 +299,46 @@ def _bad_input_cases(tmp_path):
     "check-negative-target",
     "grid-zero-points", "allan-short-trace", "allan-nan-trace",
     "allan-gap-trace", "analytic-points-0", "seed-true", "fit-allan-one-row",
-    "fit-allan-bad-number"])
+    "fit-allan-bad-number", "fit-allan-nan-sigma", "fit-allan-rate-trace",
+    "fit-allan-unordered-taus", "fit-allan-negative-tau"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     argv = _bad_input_cases(tmp_path)[case]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("gyrofde: error: ")
     assert not (tmp_path / "out.csv").exists()
+
+
+def _failed_run_cases(tmp_path):
+    gap = _write_trace(tmp_path / "gap.csv",
+                       [((i + (46 if i > 5 else 0)) / 3600, 0.01) for i in range(1, 11)])
+    a, e = str(tmp_path / "a.csv"), str(tmp_path / "e.csv")
+    t, lm = str(tmp_path / "t.csv"), str(tmp_path / "lm.json")
+    nodir = tmp_path / "nodir"
+    return {
+        "allan-no-trace": ["allan", "--analytic-out", a, "--empirical-out", e],
+        "allan-bad-trace": ["allan", "--trace", gap, "--analytic-out", a,
+                            "--empirical-out", e],
+        "allan-landmarks-no-drift": ["allan", "--analytic-out", a,
+                                     "--landmarks-out", lm],
+        "allan-missing-dir": ["allan", "--synthesize-trace", t, "--trace-duration",
+                              "0.1 h", "--analytic-out", str(nodir / "a.csv")],
+        "simulate-missing-dir": ["simulate", "--groups", "1", "--flights", "2",
+                                 "--duration", "0.1 h", "--out", e,
+                                 "--report", str(nodir / "r.json")],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "allan-no-trace", "allan-bad-trace", "allan-landmarks-no-drift",
+    "allan-missing-dir", "simulate-missing-dir"])
+def test_failed_run_leaves_no_output_file(tmp_path, capsys, case):
+    argv = _failed_run_cases(tmp_path)[case]
+    inputs = set(tmp_path.iterdir())
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gyrofde: error: ")
+    assert set(tmp_path.iterdir()) == inputs
 
 
 def _bad_range_and_step_cases(tmp_path):
