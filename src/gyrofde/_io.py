@@ -1,4 +1,5 @@
-"""The one writer of gyrofde's output artifacts, CSV and JSON.
+"""The one writer of gyrofde's output artifacts, CSV and JSON, and the one
+reader of the CSVs it takes back as input.
 
 CSV: one header row, then one row per index of the columns.  A float cell
 has 17 significant digits, so a read-back is exact; a NaN cell is left
@@ -11,6 +12,7 @@ JSON: indent 2 and a trailing newline, to a file or, with no path, stdout.
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 
@@ -32,6 +34,33 @@ def write_csv(path, header, *columns) -> None:
             block = zip(*(c[i:i + _BLOCK].tolist() for c in cols))
             # "nan" is printed only for a NaN cell
             fh.write("".join(map(row.__mod__, block)).replace("nan", ""))
+
+
+def read_csv(path, header) -> tuple[np.ndarray, np.ndarray]:
+    """The two float columns of a two-column CSV headed exactly ``header``.
+
+    Each cell is parsed with ``float``, so a ``write_csv`` float reads back
+    bit for bit.  A bad row, a comment or blank line included, raises
+    ``{path}:{line}: expected two numbers, got '...'``.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != list(header):
+        raise ValueError(f"{path}: expected header {','.join(header)}")
+    body = rows[1:]
+    if not body:
+        raise ValueError(f"{path}: no rows after the header")
+    try:
+        return (np.array([float(a) for a, _ in body]),
+                np.array([float(b) for _, b in body]))
+    except ValueError:  # parsed first: the search below is for errors only
+        for line, row in enumerate(body, start=2):
+            try:
+                a, b = row
+                float(a), float(b)
+            except ValueError:
+                raise ValueError(f"{path}:{line}: expected two numbers, "
+                                 f"got {','.join(row)!r}") from None
 
 
 def write_json(path, doc) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv, write_json
+from ._io import read_csv, write_csv, write_json
 from ._series import atrk_inflight_shape, xminus_em
 from .gyro import DriftSpec, GyroErrorModel, RateTrace
 from .units import DEG, HOUR_S
@@ -51,8 +51,9 @@ class AllanCurve:
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=float)
         self.sigmas = np.asarray(self.sigmas, dtype=float)
-        if not np.all(np.diff(self.taus, prepend=0.0) > 0):
-            raise ValueError("taus must be > 0 and strictly increasing")
+        if not (np.isfinite(self.taus).all()
+                and (np.diff(self.taus, prepend=0.0) > 0).all()):
+            raise ValueError("taus must be finite, > 0 and strictly increasing")
         if not np.all(np.isfinite(self.sigmas) & (self.sigmas >= 0)):
             raise ValueError("sigmas must be finite and >= 0")
         if self.source not in ("analytic", "empirical"):
@@ -62,6 +63,16 @@ class AllanCurve:
         """Header ``tau_s,sigma_deg_per_h``."""
         write_csv(path, ("tau_s", "sigma_deg_per_h"),
                   self.taus * HOUR_S, self.sigmas / DEG)
+
+    @classmethod
+    def from_csv(cls, path) -> "AllanCurve":
+        """Read a ``to_csv`` curve; a file does not say its source, so the
+        curve is taken as 'empirical'."""
+        tau_s, sigma = read_csv(path, ("tau_s", "sigma_deg_per_h"))
+        try:
+            return cls(tau_s / HOUR_S, sigma * DEG, "empirical")
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 @dataclass

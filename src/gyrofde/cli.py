@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +32,12 @@ from .budget import FlightProfile, budget_series_to_csv
 from .gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
                    synthesize_rate_trace)
 from .montecarlo import compare_to_analytic, run_ensemble
-from .units import DEG, UnitError, parse_quantity
+from .units import DEG, HOUR_S, UnitError, parse_quantity
 
-DEFAULTS = {
-    "R_km": 6371.0,
-    "v_km_h": 900.0,
-    "duration_h": 10.0,
-    "dt_h": 1.0 / 3600.0,
-    "turn_on": True,
-    "seed": 0,
-}
+# Each flight key with the flag that overrides it and its dimension.
+_FLIGHT = {"v": ("v", "speed"), "duration": ("duration", "time"),
+           "R": ("radius", "length"), "dt": ("dt", "time")}
+_ROOT_KEYS = ("N", "drifts", "turn_on", "flight", "seed")
 
 # The widely quoted navigation-grade pairing; used only to attach an advisory
 # note to `check` reports in its neighborhood.
@@ -74,70 +69,73 @@ def _quantity(node, path: str, dimension: str) -> float:
         raise ConfigError(f"{path}: {e}") from None
 
 
-def parse_config(doc: dict, overrides: argparse.Namespace | None = None) -> RunConfig:
-    """Validate a config document (plus flag overrides) into canonical units."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    doc = dict(doc)
+def _object(node, path: str, keys) -> dict:
+    """A copy of ``node``, which must be a JSON object with keys among ``keys``."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {node!r}")
+    for key in node:
+        if key not in keys:
+            raise ConfigError(f"{path}: unknown key {key!r}; known keys: "
+                              f"{', '.join(keys)}")
+    return dict(node)
 
-    ov = overrides or argparse.Namespace()
-    if getattr(ov, "noise", None) is not None:
-        doc["N"] = ov.noise
-    if getattr(ov, "drift", None):
+
+def parse_config(doc: dict, overrides: argparse.Namespace | None = None) -> RunConfig:
+    """Validate a config document (plus flag overrides) into canonical units.
+
+    Only the keys given are passed on: the dataclasses supply every default.
+    """
+    doc = _object(doc, "config root", _ROOT_KEYS)
+    flight = _object(doc.get("flight", {}), "flight", _FLIGHT)
+    ov = vars(overrides or argparse.Namespace())
+    for flag, key in (("noise", "N"), ("seed", "seed"), ("turn_on", "turn_on")):
+        if ov.get(flag) is not None:
+            doc[key] = ov[flag]
+    for key, (flag, _) in _FLIGHT.items():
+        if ov.get(flag) is not None:
+            flight[key] = ov[flag]
+    if ov.get("drift"):
         doc["drifts"] = []
-        for spec in ov.drift:
+        for spec in ov["drift"]:
             parts = [s.strip() for s in spec.split(",")]
             if len(parts) != 2:
                 raise ConfigError(
                     f"--drift: expected '<K> <unit>, <Tc> <unit>', got {spec!r}")
             doc["drifts"].append({"K": parts[0], "Tc": parts[1]})
-    flight = dict(doc.get("flight", {}))
-    for flag, key in (("v", "v"), ("duration", "duration"),
-                      ("radius", "R"), ("dt", "dt")):
-        if getattr(ov, flag, None) is not None:
-            flight[key] = getattr(ov, flag)
-    doc["flight"] = flight
-    if getattr(ov, "seed", None) is not None:
-        doc["seed"] = ov.seed
-    if getattr(ov, "turn_on", None) is not None:
-        doc["turn_on"] = ov.turn_on
+    for key, kind, what in (("turn_on", bool, "true/false"), ("seed", int, "integer")):
+        if key in doc and type(doc[key]) is not kind:
+            raise ConfigError(f"{key}: expected {what}, got {doc[key]!r}")
+    if not isinstance(doc.get("drifts", []), list):
+        raise ConfigError(f"drifts: expected a JSON array, got {doc['drifts']!r}")
 
-    N = _quantity(doc["N"], "N", "arw") if "N" in doc else 0.0
-    drifts = []
+    model = {"drifts": []}
+    if "turn_on" in doc:
+        model["turn_on"] = doc["turn_on"]
+    if "N" in doc:
+        N = _quantity(doc["N"], "N", "arw")
+        try:
+            model["noise"] = NoiseSpec(N)
+        except ValueError as e:
+            raise ConfigError(f"N: {e}") from None
     for i, dnode in enumerate(doc.get("drifts", [])):
-        if not isinstance(dnode, dict) or "K" not in dnode or "Tc" not in dnode:
+        dnode = _object(dnode, f"drifts[{i}]", ("K", "Tc"))
+        if "K" not in dnode or "Tc" not in dnode:
             raise ConfigError(f"drifts[{i}]: expected object with K and Tc")
         K = _quantity(dnode["K"], f"drifts[{i}].K", "rrw")
         Tc = _quantity(dnode["Tc"], f"drifts[{i}].Tc", "time")
         try:
-            drifts.append(DriftSpec(K=K, Tc=Tc))
+            model["drifts"].append(DriftSpec(K=K, Tc=Tc))
         except ValueError as e:
             field_name = "K" if "K" in str(e) else "Tc"
             raise ConfigError(f"drifts[{i}].{field_name}: {e}") from None
-    turn_on = doc.get("turn_on", DEFAULTS["turn_on"])
-    if not isinstance(turn_on, bool):
-        raise ConfigError(f"turn_on: expected true/false, got {turn_on!r}")
+    given = {key: _quantity(flight[key], f"flight.{key}", dimension)
+             for key, (_, dimension) in _FLIGHT.items() if key in flight}
     try:
-        model = GyroErrorModel(NoiseSpec(N), tuple(drifts), turn_on)
-    except ValueError as e:
-        raise ConfigError(f"N: {e}") from None
-
-    fl = doc["flight"]
-    try:
-        profile = FlightProfile(
-            v=_quantity(fl["v"], "flight.v", "speed") if "v" in fl else DEFAULTS["v_km_h"],
-            duration=_quantity(fl["duration"], "flight.duration", "time")
-            if "duration" in fl else DEFAULTS["duration_h"],
-            R=_quantity(fl["R"], "flight.R", "length") if "R" in fl else DEFAULTS["R_km"],
-            dt=_quantity(fl["dt"], "flight.dt", "time") if "dt" in fl else DEFAULTS["dt_h"],
-        )
+        profile = FlightProfile(**given)
     except ValueError as e:
         raise ConfigError(f"flight: {e}") from None
-
-    seed = doc.get("seed", DEFAULTS["seed"])
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed: expected integer, got {seed!r}")
-    return RunConfig(model=model, flight=profile, seed=seed)
+    run = {"seed": doc["seed"]} if "seed" in doc else {}
+    return RunConfig(GyroErrorModel(**model), profile, **run)
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
@@ -255,7 +253,7 @@ def _check_out_dirs(*paths) -> None:
 
 
 def _target(args, cfg: RunConfig) -> ts.RequirementTarget:
-    fde95 = parse_quantity(args.target, "length").canonical()
+    fde95 = _quantity(args.target, "--target", "length")
     return ts.RequirementTarget(fde95=fde95, flight=cfg.flight)
 
 
@@ -286,15 +284,22 @@ def _cmd_simulate(args) -> int:
 def _cmd_allan(args) -> int:
     """Compute every requested output, then write them: a run that fails
     leaves no file behind."""
-    _check_out_dirs(args.synthesize_trace, args.analytic_out,
-                    args.empirical_out, args.landmarks_out)
+    outs = (args.synthesize_trace, args.analytic_out, args.empirical_out,
+            args.landmarks_out)
+    if not any(outs):
+        raise ConfigError("allan needs at least one of --synthesize-trace, "
+                          "--analytic-out, --empirical-out, --landmarks-out")
+    if args.trace and args.synthesize_trace:
+        raise ConfigError("--trace and --synthesize-trace are exclusive: "
+                          "give one record source")
+    _check_out_dirs(*outs)
     if args.empirical_out and not (args.trace or args.synthesize_trace):
         raise ConfigError("--empirical-out needs --trace or --synthesize-trace")
     cfg = load_config(args.config, args)
     writes = []  # (write, path)
-    trace = None
+    trace = RateTrace.from_csv(args.trace) if args.trace else None
     if args.synthesize_trace:
-        duration = parse_quantity(args.trace_duration, "time").canonical()
+        duration = _quantity(args.trace_duration, "--trace-duration", "time")
         trace = synthesize_rate_trace(cfg.model, duration, cfg.flight.dt, cfg.seed)
         writes.append((trace.to_csv, args.synthesize_trace))
     if args.analytic_out:
@@ -305,8 +310,6 @@ def _cmd_allan(args) -> int:
             source="analytic")
         writes.append((curve.to_csv, args.analytic_out))
     if args.empirical_out:
-        if args.trace:
-            trace = RateTrace.from_csv(args.trace)
         taus = allan_mod.default_tau_grid(trace.dt, trace.duration)
         writes.append((allan_mod.allan_variance_empirical(trace, taus).to_csv,
                        args.empirical_out))
@@ -338,18 +341,7 @@ def _interior_maximum(sig: np.ndarray) -> int | None:
 
 def _cmd_fit_allan(args) -> int:
     if args.curve:
-        with open(args.curve) as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no data: caught below
-            try:
-                if fh.readline().strip() != "tau_s,sigma_deg_per_h":
-                    raise ValueError("expected header tau_s,sigma_deg_per_h")
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-                if rows.shape[1] != 2:
-                    raise ValueError("expected columns tau_s,sigma_deg_per_h")
-                curve = allan_mod.AllanCurve(rows[:, 0] / 3600.0, rows[:, 1] * DEG,
-                                             "empirical")
-            except ValueError as e:
-                raise ConfigError(f"{args.curve}: {e}") from None
+        curve = allan_mod.AllanCurve.from_csv(args.curve)
         i = _interior_maximum(curve.sigmas)
         if i is None:
             raise ConfigError(
@@ -357,13 +349,13 @@ def _cmd_fit_allan(args) -> int:
                 "short (or too noisy) to resolve the drift maximum")
         tau_max, sigma_max = float(curve.taus[i]), float(curve.sigmas[i])
     elif args.tau_max and args.sigma_max:
-        tau_max = parse_quantity(args.tau_max, "time").canonical()
-        sigma_max = parse_quantity(args.sigma_max, "rate").canonical()
+        tau_max = _quantity(args.tau_max, "--tau-max", "time")
+        sigma_max = _quantity(args.sigma_max, "--sigma-max", "rate")
     else:
         raise ConfigError("fit-allan needs --curve or both --tau-max/--sigma-max")
     d = allan_mod.identify_from_max(tau_max, sigma_max)
     doc = {"K_deg_per_h32": d.K / DEG, "Tc_h": d.Tc,
-           "tau_max_s": tau_max * 3600.0, "sigma_max_deg_per_h": sigma_max / DEG}
+           "tau_max_s": tau_max * HOUR_S, "sigma_max_deg_per_h": sigma_max / DEG}
     write_json(args.out or None, doc)
     return 0
 
@@ -371,7 +363,7 @@ def _cmd_fit_allan(args) -> int:
 def _cmd_grid(args) -> int:
     cfg = load_config(args.config, args)
     r = _target(args, cfg)
-    tc = parse_quantity(args.tc, "time").canonical()
+    tc = _quantity(args.tc, "--tc", "time")
     N = _logspace_arg(args.n_range, "--n-range") * DEG
     K = _logspace_arg(args.k_range, "--k-range") * DEG
     grid = ts.fde_grid(N, K, tc, r)
@@ -382,7 +374,7 @@ def _cmd_grid(args) -> int:
 def _cmd_contour(args) -> int:
     cfg = load_config(args.config, args)
     r = _target(args, cfg)
-    tc = parse_quantity(args.tc, "time").canonical()
+    tc = _quantity(args.tc, "--tc", "time")
     N = _logspace_arg(args.n_range, "--n-range") * DEG
     ts.solve_K_contour(N, tc, r).to_csv(args.out)
     return 0
@@ -420,9 +412,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # an input whose numbers overflow fails here, not as a warning and a
+        # non-finite result
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
     except ValueError as e:  # includes ConfigError and UnitError
         print(f"gyrofde: error: {e}", file=sys.stderr)
+        return 2
+    except ArithmeticError as e:  # numpy's and Python's float errors
+        detail = (e.args or [type(e).__name__])[-1]
+        print(f"gyrofde: error: input out of numeric range: {detail}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"gyrofde: i/o error: {e}", file=sys.stderr)

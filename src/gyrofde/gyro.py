@@ -13,13 +13,12 @@ seed with ``substream`` so results never depend on execution order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._io import write_csv
+from ._io import read_csv, write_csv
 from .units import DEG
 
 __all__ = [
@@ -103,35 +102,20 @@ class RateTrace:
     def from_csv(cls, path) -> "RateTrace":
         """Read a ``to_csv`` record.  dt is the first timestamp; every value
         must be finite and row i's timestamp within 1e-3 dt of i dt."""
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["t_h", "rate_deg_per_h"]:
-            raise ValueError(f"{path}: expected header t_h,rate_deg_per_h")
-        body = rows[1:]
-        if not body:
-            raise ValueError(f"{path}: empty trace")
-        try:
-            t = np.array([float(a) for a, _ in body])
-            rates = np.array([float(b) for _, b in body]) * DEG
-        except ValueError:
-            for line, row in enumerate(body, start=2):
-                try:
-                    a, b = row
-                    float(a), float(b)
-                except ValueError:
-                    raise ValueError(f"{path}:{line}: expected two numbers, "
-                                     f"got {','.join(row)!r}") from None
+        t, rates = read_csv(path, ("t_h", "rate_deg_per_h"))
         dt = float(t[0])
-        # strict, so that dt <= 0 fails on the first row
-        on_grid = np.abs(t - np.arange(1, len(t) + 1) * dt) < 1e-3 * dt
+        # strict, so that dt <= 0 fails on the first row; a timestamp whose
+        # grid point is not finite is off the grid
+        with np.errstate(all="ignore"):
+            on_grid = np.abs(t - np.arange(1, len(t) + 1) * dt) < 1e-3 * dt
         for what, bad in (("non-finite timestamp", ~np.isfinite(t)),
                           ("non-finite rate", ~np.isfinite(rates)),
                           (f"timestamp is not (i+1) dt to within 1e-3 dt "
                            f"(dt = {dt!r} h, the first timestamp)", ~on_grid)):
             if bad.any():
                 i = int(np.argmax(bad))
-                raise ValueError(f"{path}:{i + 2}: {what}: {','.join(body[i])!r}")
-        return cls(dt=dt, samples=rates, duration=len(rates) * dt)
+                raise ValueError(f"{path}:{i + 2}: {what}: {t[i]},{rates[i]}")
+        return cls(dt=dt, samples=rates * DEG, duration=len(rates) * dt)
 
 
 def substream(seed, *key: int) -> np.random.Generator:

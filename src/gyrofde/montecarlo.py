@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -126,7 +127,10 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
     jobs = [(m, p, g, n_flights, master_seed, idx) for g in range(n_groups)]
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # a worker started by spawn or forkserver does not inherit the
+        # caller's floating-point error state, so pass it on
+        with ProcessPoolExecutor(max_workers=n_workers,
+                                 initializer=partial(np.seterr, **np.geterr())) as pool:
             results = list(pool.map(_group_accumulators, jobs))
     else:
         results = [_group_accumulators(j) for j in jobs]

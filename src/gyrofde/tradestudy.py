@@ -156,7 +156,6 @@ class ContourResult:
     N_values: np.ndarray      # rad/sqrt(h)
     K_values: np.ndarray      # rad/h^(3/2); NaN where infeasible
     feasible: np.ndarray      # bool
-    margin: np.ndarray        # km, target minus noise-only 2 sigma
     Tc: float
     target: RequirementTarget
 
@@ -178,14 +177,12 @@ def solve_K_contour(N_values, Tc: float, r: RequirementTarget) -> ContourResult:
     N_values = np.asarray(N_values, dtype=float)
     K = np.full(len(N_values), np.nan)
     ok = np.zeros(len(N_values), dtype=bool)
-    margin = np.empty(len(N_values))
     for i, n in enumerate(N_values):
-        margin[i] = r.fde95 - fde95_of(_model(n, 0.0, Tc), r)
         k = solve_K(n, Tc, r)
         if k is not None:
             K[i], ok[i] = k, True
     return ContourResult(N_values=N_values, K_values=K, feasible=ok,
-                         margin=margin, Tc=Tc, target=r)
+                         Tc=Tc, target=r)
 
 
 def fde_grid(N_range, K_range, Tc: float, r: RequirementTarget) -> np.ndarray:

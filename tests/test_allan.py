@@ -259,6 +259,38 @@ def test_curve_rejects_nonpositive_tau_and_infinite_sigma():
         AllanCurve(taus=[1.0, 2.0], sigmas=[1.0, np.inf], source="empirical")
 
 
+def test_curve_rejects_infinite_tau():
+    with pytest.raises(ValueError, match="taus"):
+        AllanCurve(taus=[1.0, np.inf], sigmas=[1.0, 1.0], source="empirical")
+
+
+def test_curve_from_csv_is_exact_on_what_to_csv_wrote(tmp_path):
+    taus = default_tau_grid(SEC, 24.0)
+    path = tmp_path / "curve.csv"
+    AllanCurve(taus, np.sqrt(allan_variance_analytic(FIG3, taus)), "analytic").to_csv(path)
+    cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    back = AllanCurve.from_csv(path)
+    assert back.source == "empirical"
+    assert np.array_equal(back.taus, [float(tau) / 3600 for tau, _ in cells])
+    assert np.array_equal(back.sigmas, [float(sigma) * DEG for _, sigma in cells])
+
+
+@pytest.mark.parametrize("body, match", [
+    ("10,0.1\n20,abc\n30,0.1\n", "curve.csv:3: expected two numbers, got '20,abc'"),
+    ("10,0.1\n# comment\n30,0.1\n", "curve.csv:3: expected two numbers"),
+    ("10,0.1\n\n30,0.1\n", "curve.csv:3: expected two numbers, got ''"),
+    ("10,0.1,1\n", "curve.csv:2: expected two numbers"),
+    ("", "curve.csv: no rows after the header"),
+    ("20,0.1\n10,0.1\n", "curve.csv: taus must be finite, > 0 and strictly increasing"),
+], ids=["bad-cell", "comment-line", "blank-line", "three-cells", "no-rows",
+        "unordered-taus"])
+def test_curve_from_csv_names_the_bad_line(tmp_path, body, match):
+    path = tmp_path / "curve.csv"
+    path.write_text("tau_s,sigma_deg_per_h\n" + body)
+    with pytest.raises(ValueError, match=match):
+        AllanCurve.from_csv(path)
+
+
 # The Allan-trace model of the benchmark, the navigation-grade point, and
 # models at the extremes of eps = dt/Tc.
 DOF_MODELS = {

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -9,8 +10,9 @@ import pytest
 
 import gyrofde
 from gyrofde.allan import allan_variance_empirical, default_tau_grid
-from gyrofde.cli import ConfigError, main, parse_config
-from gyrofde.gyro import GyroErrorModel, synthesize_rate_trace
+from gyrofde.budget import FlightProfile
+from gyrofde.cli import ConfigError, RunConfig, main, parse_config
+from gyrofde.gyro import DriftSpec, GyroErrorModel, NoiseSpec, synthesize_rate_trace
 from gyrofde.units import DEG
 
 BENCHMARK = {
@@ -67,6 +69,21 @@ class TestParseConfig:
     def test_bool_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config({"seed": True})
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert parse_config({}) == RunConfig(GyroErrorModel(), FlightProfile())
+
+    def test_every_flag_overrides_its_key(self):
+        doc = {**BENCHMARK, "turn_on": True, "seed": 1,
+               "flight": {"v": "900 km_per_h", "duration": "10 h",
+                          "R": "6371 km", "dt": "1 s"}}
+        flags = argparse.Namespace(
+            noise="0.002 rad_per_sqrt_h", drift=["0.003 rad_per_h_3_2, 2 h"],
+            turn_on=False, seed=7, v="800 km_per_h", duration="4 h",
+            radius="6000 km", dt="2 h")
+        assert parse_config(doc, flags) == RunConfig(
+            GyroErrorModel(NoiseSpec(0.002), (DriftSpec(0.003, 2.0),), False),
+            FlightProfile(v=800.0, duration=4.0, R=6000.0, dt=2.0), seed=7)
 
 
 class TestAnalyticCommand:
@@ -312,10 +329,16 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
 def _failed_run_cases(tmp_path):
     gap = _write_trace(tmp_path / "gap.csv",
                        [((i + (46 if i > 5 else 0)) / 3600, 0.01) for i in range(1, 11)])
+    trace = tmp_path / "trace.csv"
+    synthesize_rate_trace(GyroErrorModel.from_deg(0.005), 0.1, 1 / 3600, 1).to_csv(trace)
     a, e = str(tmp_path / "a.csv"), str(tmp_path / "e.csv")
     t, lm = str(tmp_path / "t.csv"), str(tmp_path / "lm.json")
     nodir = tmp_path / "nodir"
     return {
+        "allan-bad-trace-no-empirical": ["allan", "--trace", gap, "--analytic-out", a],
+        "allan-trace-and-synthesize": ["allan", "--trace", str(trace),
+                                       "--synthesize-trace", t, "--empirical-out", e],
+        "allan-no-output": ["allan", "--noise", "0.005 deg_per_sqrt_h"],
         "allan-no-trace": ["allan", "--analytic-out", a, "--empirical-out", e],
         "allan-bad-trace": ["allan", "--trace", gap, "--analytic-out", a,
                             "--empirical-out", e],
@@ -331,7 +354,8 @@ def _failed_run_cases(tmp_path):
 
 @pytest.mark.parametrize("case", [
     "allan-no-trace", "allan-bad-trace", "allan-landmarks-no-drift",
-    "allan-missing-dir", "simulate-missing-dir"])
+    "allan-missing-dir", "simulate-missing-dir", "allan-bad-trace-no-empirical",
+    "allan-trace-and-synthesize", "allan-no-output"])
 def test_failed_run_leaves_no_output_file(tmp_path, capsys, case):
     argv = _failed_run_cases(tmp_path)[case]
     inputs = set(tmp_path.iterdir())
@@ -343,6 +367,8 @@ def test_failed_run_leaves_no_output_file(tmp_path, capsys, case):
 
 def _bad_range_and_step_cases(tmp_path):
     flight = ["--dt", "1 h", "--duration", "0.5 h", "--groups", "1", "--flights", "2"]
+    overflow = ["simulate", "--noise", "1e300 deg_per_sqrt_h", "--groups", "2",
+                "--flights", "2", "--duration", "0.01 h"]
     return {
         "grid-negative-N": ["grid", "--n-range=-1e-3,-1e-2,3"],
         "grid-nan-N": ["grid", "--n-range", "nan,1e-2,3"],
@@ -357,6 +383,12 @@ def _bad_range_and_step_cases(tmp_path):
         "simulate-dt-past-the-end": ["simulate", *flight],
         "simulate-dt-past-the-end-report": ["simulate", *flight, "--report",
                                             str(tmp_path / "report.json")],
+        "check-overflowing-noise": ["check", "--noise", "1e300 deg_per_sqrt_h"],
+        "analytic-overflowing-noise": ["analytic", "--noise", "1e300 deg_per_sqrt_h"],
+        "check-overflowing-duration": ["check", "--duration", "1e300 h"],
+        "check-tiny-Tc": ["check", "--drift", "1e-3 deg_per_h_3_2, 1e-300 h"],
+        "simulate-overflowing-noise": overflow,
+        "simulate-overflowing-noise-2-workers": overflow + ["--workers", "2"],
     }
 
 
@@ -366,7 +398,9 @@ def _bad_range_and_step_cases(tmp_path):
     "grid-negative-N", "grid-nan-N", "grid-inf-N", "grid-negative-K",
     "grid-nan-K", "grid-zero-Tc", "contour-negative-N", "contour-nan-N",
     "contour-inf-N", "contour-zero-Tc", "simulate-dt-past-the-end",
-    "simulate-dt-past-the-end-report"])
+    "simulate-dt-past-the-end-report", "check-overflowing-noise",
+    "analytic-overflowing-noise", "check-overflowing-duration", "check-tiny-Tc",
+    "simulate-overflowing-noise", "simulate-overflowing-noise-2-workers"])
 def test_bad_range_or_step_exits_2_with_one_line(tmp_path, capsys, case):
     out = tmp_path / "out.csv"
     assert main(_bad_range_and_step_cases(tmp_path)[case] + ["--out", str(out)]) == 2
@@ -405,3 +439,75 @@ def test_closed_form_commands_load_no_scipy(tmp_path):
     res = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                          cwd=tmp_path, env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def _schema_cases():
+    drift = {"K": "0.01 deg_per_h_3_2", "Tc": "1 h"}
+    return {
+        "flight-not-object": ({"flight": 3}, "flight: expected a JSON object"),
+        "flight-list": ({"flight": [["v", "900 km_per_h"]]},
+                        "flight: expected a JSON object"),
+        "drifts-not-list": ({"drifts": drift}, "drifts: expected a JSON array"),
+        "drift-not-object": ({"drifts": ["0.01 deg_per_h_3_2, 1 h"]},
+                             "drifts[0]: expected a JSON object"),
+        "root-not-object": ([BENCHMARK], "config root: expected a JSON object"),
+        "unknown-root-key": ({**BENCHMARK, "noise": "0.5 deg_per_sqrt_h"},
+                             "config root: unknown key 'noise'; "
+                             "known keys: N, drifts, turn_on, flight, seed"),
+        "unknown-flight-key": ({**BENCHMARK, "flight": {"duration": "10 h", "radius": "1 km"}},
+                               "flight: unknown key 'radius'; known keys: v, duration, R, dt"),
+        "unknown-drift-key": ({"drifts": [{**drift, "tau": "1 h"}]},
+                              "drifts[0]: unknown key 'tau'; known keys: K, Tc"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_schema_cases()))
+def test_config_schema_error_exits_2_with_one_line(tmp_path, capsys, case):
+    doc, message = _schema_cases()[case]
+    out = tmp_path / "report.json"
+    assert main(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"gyrofde: error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "--target", "10 s"], "--target"),
+    (["grid", "--tc", "1 km"], "--tc"),
+    (["contour", "--tc", "1"], "--tc"),
+    (["allan", "--synthesize-trace", "t.csv", "--trace-duration", "1 km"],
+     "--trace-duration"),
+    (["fit-allan", "--tau-max", "1 km", "--sigma-max", "0.04 deg_per_h"], "--tau-max"),
+    (["fit-allan", "--tau-max", "6804 s", "--sigma-max", "0.04 km"], "--sigma-max"),
+], ids=["target", "grid-tc", "contour-tc", "trace-duration", "tau-max", "sigma-max"])
+def test_quantity_flag_errors_name_the_flag(tmp_path, capsys, argv, flag):
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    if argv[0] in ("grid", "contour"):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"gyrofde: error: {flag}: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_overflow_in_a_forkserver_worker_exits_2_with_one_line(tmp_path):
+    """A worker started by forkserver (Python 3.14's default on Linux) does
+    not inherit the caller's floating-point error state; it must raise on
+    overflow as the caller does, not print warnings."""
+    script = (
+        "import multiprocessing, sys\n"
+        "from gyrofde.cli import main\n"
+        "multiprocessing.set_start_method('forkserver')\n"
+        "sys.exit(main(sys.argv[1:]))\n")
+    argv = ["simulate", "--noise", "1e300 deg_per_sqrt_h", "--groups", "2",
+            "--flights", "2", "--duration", "0.01 h", "--workers", "2",
+            "--out", "out.csv"]
+    src = str(pathlib.Path(gyrofde.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", script, *argv],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert res.returncode == 2
+    err = res.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("gyrofde: error: "), err
+    assert not (tmp_path / "out.csv").exists()

@@ -128,3 +128,15 @@ def test_only_io_module_writes_outputs():
         offenders += [f"{name}.py imports {m}"
                       for m in ("csv", "json") if re.search(rf"^import {m}$", text, re.M)]
     assert not offenders
+
+
+_READS = re.compile(r"^\s*(import csv\b|from csv import)|\b(np|numpy)\.(loadtxt|genfromtxt)\b")
+
+
+def test_only_io_module_reads_csv():
+    src = pathlib.Path(gyrofde.__file__).parent
+    offenders = [f"{path.name}:{i}: {line.strip()}"
+                 for path in sorted(src.glob("*.py")) if path.name != "_io.py"
+                 for i, line in enumerate(path.read_text().splitlines(), start=1)
+                 if _READS.search(line)]
+    assert not offenders
