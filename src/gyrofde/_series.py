@@ -32,13 +32,25 @@ _XTRK = _series(lambda k: (-1) ** k * (2 * k - 2 ** (k - 1)) / math.factorial(k)
 _XMINUS_EM = _series(lambda k: (-1) ** k / math.factorial(k), 2)
 
 
-def _merge(x, direct, coef: list[float]):
-    # the series only ever sees x below the cutover, so it cannot overflow
-    s = np.minimum(x, _CUTOVER)
+def _horner(s, coef: list[float]):
     series = 0.0
     for c in coef:
         series = series * s + c
-    return np.where(x >= _CUTOVER, direct, series)[()]
+    return series
+
+
+def _merge(x, direct, coef: list[float]):
+    """direct at x >= _CUTOVER, the series elsewhere (NaN included); the
+    series only ever sees x below the cutover, so it cannot overflow.
+
+    An array evaluates the series only on its elements below the cutover
+    and writes them into direct, a fresh array of the shape of x.
+    """
+    if np.ndim(x) == 0:
+        return np.where(x >= _CUTOVER, direct, _horner(np.minimum(x, _CUTOVER), coef))[()]
+    below = ~(x >= _CUTOVER)
+    direct[below] = _horner(x[below], coef)
+    return direct
 
 
 def atrk_inflight_shape(x):

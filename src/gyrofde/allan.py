@@ -150,6 +150,15 @@ def default_tau_grid(dt: float, duration: float,
     return mult[mult >= 1] * dt
 
 
+def _window_length(tau: float, dt: float) -> int:
+    """The window length m of tau = m dt, to 1e-9 relative."""
+    m = tau / dt
+    m_int = round(m) if math.isfinite(m) else 0
+    if abs(m - m_int) > 1e-9 * max(m, 1.0) or m_int < 1:
+        raise ValueError(f"tau={tau} is not an integer multiple of dt={dt}")
+    return m_int
+
+
 def allan_variance_empirical(trace: RateTrace, taus) -> AllanCurve:
     """Fully overlapping two-sample deviation estimate of a rate trace.
 
@@ -165,10 +174,7 @@ def allan_variance_empirical(trace: RateTrace, taus) -> AllanCurve:
     theta = np.concatenate(([0.0], np.cumsum(x - x.mean()) * trace.dt))
     sigmas = np.empty(len(taus))
     for j, tau in enumerate(taus):
-        m = tau / trace.dt
-        m_int = int(round(m))
-        if abs(m - m_int) > 1e-9 * max(m, 1.0) or m_int < 1:
-            raise ValueError(f"tau={tau} is not an integer multiple of dt={trace.dt}")
+        m_int = _window_length(tau, trace.dt)
         if 2 * m_int > n:
             raise ValueError(f"tau={tau} too large: 2 tau exceeds the record")
         d = (theta[2 * m_int:] - 2.0 * theta[m_int:n - m_int + 1]
@@ -271,6 +277,19 @@ def landmarks_to_json(path, lm: AllanLandmarks,
 # estimator under the model, for confidence banding.
 # --------------------------------------------------------------------------
 
+def _drift_tails(model: GyroErrorModel, dt: float, m: int):
+    """Per drift: (eps, c, A), with eps = dt/Tc, c as in _second_diff_cov and
+    A = c (1 - q^m)^4, so that Cov(d_0, d_l) = -dt^2 sum A e^(-eps (l-2m+1))
+    for l >= 2m."""
+    terms = []
+    for d in model.drifts:
+        eps = dt / d.Tc
+        one_minus_q = -math.expm1(-eps)
+        c = d.K * d.K * dt / (one_minus_q ** 3 * (2.0 - one_minus_q))
+        terms.append((eps, c, c * math.expm1(-m * eps) ** 4))
+    return terms
+
+
 def _second_diff_cov(model: GyroErrorModel, dt: float, m: int,
                      max_lag: int) -> np.ndarray:
     """Cov(d_0, d_l), l = 0..max_lag, of overlapping second differences d_k of
@@ -293,16 +312,21 @@ def _second_diff_cov(model: GyroErrorModel, dt: float, m: int,
     k = np.arange(len(head) + 2 * m)
     G = model.noise.N ** 2 / dt * k / 2.0
     cov = np.zeros(max_lag + 1)
-    for d in model.drifts:
-        eps = dt / d.Tc
-        one_minus_q = -math.expm1(-eps)
-        c = d.K * d.K * dt / (one_minus_q ** 3 * (2.0 - one_minus_q))
+    for eps, c, A in _drift_tails(model, dt, m):
         G = G + c * (xminus_em(eps * (k + 1)) - xminus_em(2.0 * eps) * k / 2.0)
-        cov[2 * m:] -= (c * math.expm1(-m * eps) ** 4
-                        * np.exp(-eps * (lag[2 * m:] - 2 * m + 1)))
+        cov[2 * m:] -= A * np.exp(-eps * (lag[2 * m:] - 2 * m + 1))
     cov[: 2 * m] = -(G[head + 2 * m] - 4.0 * G[head + m] + 6.0 * G[head]
                      - 4.0 * G[np.abs(head - m)] + G[np.abs(head - 2 * m)])
     return dt * dt * cov
+
+
+def _geometric_tail_sum(a, L):
+    """T(a, L) = sum_(j=1..L) (L+1-j) e^(-a j) for a > 0, L >= 0, without
+    cancellation: r/u^2 [xminus_em(aL) - L xminus_em(a) - u expm1(-aL)],
+    r = e^-a, u = 1 - r."""
+    u = -np.expm1(-a)
+    return (1.0 - u) / (u * u) * (xminus_em(a * L) - L * xminus_em(a)
+                                  - u * np.expm1(-a * L))
 
 
 def estimator_dof(model: GyroErrorModel, dt: float, n_samples: int,
@@ -314,20 +338,34 @@ def estimator_dof(model: GyroErrorModel, dt: float, n_samples: int,
     nu = 2 E^2 / Var.  This is the effective count of independent windows;
     it reduces to ~2n/3 for pure white noise and shrinks when drift
     correlations (range Tc) span many windows.
+
+    Var weights the squared covariance at lag l of the M = n - 2m + 1 second
+    differences by (1 - l/M).  Lags below 2m are summed term by term.  From
+    lag 2m + j - 1 on, j = 1..L = M - 2m, the covariance is the geometric
+    tail -dt^2 sum_d A_d e^(-eps_d j) and the weight (L+1-j)/M, so their sum
+    is dt^4/M sum_(d,e) A_d A_e T(eps_d + eps_e, L): O(m) work per tau, not
+    O(n).
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    nu = np.empty(len(taus))
+    m = np.array([_window_length(tau, dt) for tau in taus], dtype=int)
+    M = n_samples - 2 * m + 1
+    c0, lagged = np.empty(len(taus)), np.empty(len(taus))
     for j, tau in enumerate(taus):
-        m = int(round(tau / dt))
-        M = n_samples - 2 * m + 1
-        if m < 1 or M < 1:
+        if M[j] < 1:
             raise ValueError(f"tau={tau} incompatible with the record")
-        cov = _second_diff_cov(model, dt, m, M - 1)
-        w = 1.0 - np.arange(M) / M
-        c0 = cov[0]
-        denom = c0 * c0 + 2.0 * np.sum(w[1:] * cov[1:] ** 2)
-        nu[j] = M * c0 * c0 / denom
-    return nu
+        h = min(2 * m[j], M[j])
+        cov = _second_diff_cov(model, dt, m[j], h - 1)
+        w = 1.0 - np.arange(h) / M[j]
+        c0[j] = cov[0]
+        lagged[j] = np.sum(w[1:] * cov[1:] ** 2)
+    # (eps, c, A) by tau and drift
+    tails = np.array([_drift_tails(model, dt, mj) for mj in m]).reshape(
+        len(m), len(model.drifts), 3)
+    eps, B = tails[:, :, 0], dt * dt * tails[:, :, 2]
+    T = _geometric_tail_sum(eps[:, :, None] + eps[:, None, :],
+                            np.maximum(M - 2 * m, 0)[:, None, None])
+    lagged += np.einsum("jd,je,jde->j", B, B, T) / M
+    return M * c0 * c0 / (c0 * c0 + 2.0 * lagged)
 
 
 def confidence_band(model: GyroErrorModel, dt: float, n_samples: int,

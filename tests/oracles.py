@@ -5,15 +5,17 @@ position-gain of one unit impulse per time bin: the impulse's rate response
 decays geometrically; its heading gain is the rate summed over later bins,
 and its cross-track gain is the heading summed again.  Everything is plain
 cumulative-sum arithmetic; none of the package's bracket expressions appear.
-Two references follow: the scalar shape series, for the package's array
-kernels, and the one-step drift and noise operations, for its vectorized
-rate synthesis.
+Three references follow: the scalar shape series, for the package's array
+kernels; the one-step drift and noise operations, for its vectorized rate
+synthesis; and the estimator dof summed over every lag, for its closed-form
+tail.
 """
 
 import math
 
 import numpy as np
 
+from gyrofde.allan import _second_diff_cov
 from gyrofde.gyro import DriftSpec, NoiseSpec, drift_stationary_std
 
 
@@ -129,3 +131,21 @@ def noise_sample(n: NoiseSpec, dt: float, rng: np.random.Generator) -> float:
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     return (n.N / math.sqrt(dt)) * float(rng.standard_normal())
+
+
+def estimator_dof_direct(model, dt: float, n_samples: int, taus) -> np.ndarray:
+    """Effective dof of the overlapping estimator with every one of the
+    M = n - 2m + 1 lags' covariances built and squared: O(n) per tau."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    nu = np.empty(len(taus))
+    for j, tau in enumerate(taus):
+        m = int(round(tau / dt))
+        M = n_samples - 2 * m + 1
+        if m < 1 or M < 1:
+            raise ValueError(f"tau={tau} incompatible with the record")
+        cov = _second_diff_cov(model, dt, m, M - 1)
+        w = 1.0 - np.arange(M) / M
+        c0 = cov[0]
+        denom = c0 * c0 + 2.0 * np.sum(w[1:] * cov[1:] ** 2)
+        nu[j] = M * c0 * c0 / denom
+    return nu

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from gyrofde.allan import (AllanCurve, allan_landmarks_analytic,
 from gyrofde.gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
                           synthesize_rate_trace)
 from gyrofde.units import DEG
+from oracles import estimator_dof_direct
 
 SEC = 1.0 / 3600.0
 
@@ -389,3 +391,61 @@ def test_estimator_dof_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+DOF_ORACLE_MODELS = {**DOF_MODELS,
+                     "drift-Tc-1e4h": GyroErrorModel.from_deg(0.005, ((0.01, 1e4),))}
+
+
+@pytest.mark.parametrize("name", list(DOF_ORACLE_MODELS))
+def test_estimator_dof_matches_direct_sum(name):
+    """The closed-form tail against every lag summed, on the 24 h grid and on
+    records whose tail is one lag long (m = 5), empty (m = 6, 9) or whose only
+    lag is 0 (m = 10, M = 1)."""
+    model = DOF_ORACLE_MODELS[name]
+    for n, taus in ((86_400, default_tau_grid(SEC, 24.0)),
+                    (20, np.array([5, 6, 9, 10]) * SEC)):
+        np.testing.assert_allclose(estimator_dof(model, SEC, n, taus),
+                                   estimator_dof_direct(model, SEC, n, taus),
+                                   rtol=1e-13, atol=0)
+
+
+def test_estimator_dof_work_per_tau_is_bounded_by_the_window(monkeypatch):
+    """Only lags below 2m are built, not all n - 2m + 1."""
+    lags = []
+
+    def spy(model, dt, m, max_lag):
+        lags.append((m, max_lag))
+        return second_diff_cov(model, dt, m, max_lag)
+
+    second_diff_cov = allan._second_diff_cov
+    monkeypatch.setattr(allan, "_second_diff_cov", spy)
+    taus = default_tau_grid(SEC, 24.0)
+    estimator_dof(DOF_MODELS["three-drifts"], SEC, 86_400, taus)
+    assert [m for m, _ in lags] == list(np.round(taus / SEC).astype(int))
+    assert all(max_lag == 2 * m - 1 for m, max_lag in lags)
+
+
+@pytest.mark.parametrize("a, L", [(1 / 90, 17281), (2e-8, 3), (2e-8, 17281), (1e-5, 1)])
+def test_geometric_tail_sum_matches_decimal_sum(a, L):
+    """T(a, L) = sum_(j=1..L) (L+1-j) e^(-aj), summed in 60 digits; the naive
+    r/u^2 [Lu - r(1 - r^L)] loses 4e-11 at (2e-8, 17281) and 9e-3 at (2e-8, 3)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r = (-Decimal(a)).exp()
+        p, exact = Decimal(1), Decimal(0)
+        for j in range(1, L + 1):
+            p *= r
+            exact += (L + 1 - j) * p
+    assert allan._geometric_tail_sum(a, L) == pytest.approx(float(exact), rel=1e-15)
+
+
+def test_dof_rejects_a_tau_that_is_no_multiple_of_dt():
+    message = "is not an integer multiple of dt"
+    with pytest.raises(ValueError, match=message):
+        estimator_dof(FIG3, SEC, 1000, [1.5 * SEC])
+    with pytest.raises(ValueError, match=message):
+        confidence_band(FIG3, SEC, 1000, [2 * SEC, 1.5 * SEC])
+    trace = RateTrace(dt=SEC, samples=np.zeros(1000), duration=1000 * SEC)
+    with pytest.raises(ValueError, match=message):
+        allan_variance_empirical(trace, [1.5 * SEC])

@@ -409,6 +409,29 @@ def test_bad_range_or_step_exits_2_with_one_line(tmp_path, capsys, case):
     assert not out.exists() and not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--target", "10 nmi"],
+    ["check", "--noise", "0.003 deg_per_sqrt_h", "--drift", "0.03 deg_per_h_3_2, 4 h",
+     "--target", "50 nmi"],
+    ["simulate", "--noise", "0.005 deg_per_sqrt_h", "--drift", "0.01 deg_per_h_3_2, 1 h",
+     "--duration", "0.01 h", "--groups", "2", "--flights", "5",
+     "--out", "e.csv", "--report", "r.json"],
+], ids=["check-bare", "check", "simulate-report"])
+def test_zero_drift_with_huge_Tc_changes_no_output(tmp_path, capsys, monkeypatch, argv):
+    """A drift of zero amplitude contributes exactly nothing, even where its
+    Tc ** 5 would overflow."""
+    outputs = []
+    for extra in ([], ["--drift", "0 deg_per_h_3_2, 1e100 h"]):
+        run_dir = tmp_path / str(len(outputs))
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main(argv + extra) == 0
+        out, err = capsys.readouterr()
+        assert not err
+        outputs.append((out, {p.name: p.read_bytes() for p in run_dir.iterdir()}))
+    assert outputs[1] == outputs[0]
+
+
 def test_closed_form_commands_load_no_scipy(tmp_path):
     """import gyrofde.cli and every command that needs no sampling or dof
     band stays clear of scipy (its import dominates a cold start)."""
