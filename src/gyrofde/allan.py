@@ -23,6 +23,7 @@ import numpy as np
 
 from ._io import read_csv, write_csv, write_json
 from ._series import atrk_inflight_shape, xminus_em
+from .budget import _drift_pairs
 from .gyro import DriftSpec, GyroErrorModel, RateTrace
 from .units import DEG, HOUR_S
 
@@ -133,8 +134,8 @@ def allan_variance_analytic(m: GyroErrorModel, tau) -> np.ndarray | float:
     if np.any(tau <= 0):
         raise ValueError("tau must be > 0")
     drift = 0.0 * tau
-    for d in m.drifts:
-        drift = drift + d.K * d.K * d.Tc ** 3 * atrk_inflight_shape(tau / d.Tc)
+    for K, Tc in _drift_pairs(m):
+        drift = drift + K * K * Tc ** 3 * atrk_inflight_shape(tau / Tc)
     return (m.noise.N ** 2 / tau + drift / (tau * tau))[()]
 
 

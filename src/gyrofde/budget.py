@@ -111,8 +111,6 @@ def _budget(N, drifts, turn_on: bool, R, v, t) -> ErrorBudget:
     xn = N ** 2 * v * v * np.power(t, 3) / 3.0
     ad = at = xd = xt = 0.0 * t
     for K, Tc in drifts:
-        if np.ndim(K) == np.ndim(Tc) == 0 and K == 0.0:
-            continue  # its terms are exactly +0.0, however large Tc ** 5 is
         x = t / Tc
         sa = K * K * Tc ** 3 * R * R
         sx = K * K * Tc ** 5 * v * v
@@ -129,7 +127,9 @@ def _budget(N, drifts, turn_on: bool, R, v, t) -> ErrorBudget:
 
 
 def _drift_pairs(m: GyroErrorModel) -> list[tuple[float, float]]:
-    return [(d.K, d.Tc) for d in m.drifts]
+    """The (K, Tc) pairs every closed form reads.  A drift with K = 0 is
+    left out: its terms are exactly +0.0, however large Tc ** 5 is."""
+    return [(d.K, d.Tc) for d in m.drifts if d.K != 0.0]
 
 
 def atrk_variance(m: GyroErrorModel, R: float, t):

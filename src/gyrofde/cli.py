@@ -382,19 +382,14 @@ def _cmd_contour(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = load_config(args.config, args)
-    r = _target(args, cfg)
-    res = ts.check_requirement(cfg.model, r)
+    res = ts.check_requirement(cfg.model, _target(args, cfg))
     notes = []
     m = cfg.model
     if (len(m.drifts) == 1 and 0.5 < m.noise.N / (0.005 * DEG) < 2.0
             and 0.5 < m.drifts[0].K / (0.01 * DEG) < 2.0
             and 0.5 < m.drifts[0].Tc < 2.0):
         notes.append(_BENCHMARK_NOTE)
-    if args.out:
-        ts.compliance_to_json(args.out, res, cfg.model, notes)
-    else:
-        write_json(None, {"pass": res.passed, "fde95_nmi": res.fde95_nmi,
-                          "margin_nmi": res.margin_nmi, "notes": notes})
+    ts.compliance_to_json(args.out or None, res, notes)
     return 0 if res.passed else 1
 
 

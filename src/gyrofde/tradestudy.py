@@ -1,7 +1,7 @@
 """Requirement solving and parameter-map generation.
 
-All solvers work against the 95% figure 2 sigma_FDE at the target's
-evaluation time.  The variance is the noise variance plus K^2 times the
+All solvers work against the 95% figure 2 sigma_FDE at the end of the
+flight.  The variance is the noise variance plus K^2 times the
 drift variance at K = 1 (every drift term is K^2 times a positive factor),
 so the K solver takes that root exactly; the Tc dependence is not monotone
 in general, so the Tc solver pre-scans in log space and bisects the
@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._io import write_csv, write_json
-from .budget import FlightProfile, _budget, fde_sigma
-from .gyro import DriftSpec, GyroErrorModel, NoiseSpec, drift_stationary_std
+from .budget import ErrorBudget, FlightProfile, _budget, fde_sigma
+from .gyro import DriftSpec, GyroErrorModel, NoiseSpec
 from .units import DEG, NMI_KM
 
 __all__ = [
@@ -31,7 +31,7 @@ _REL_TOL = 1e-4
 
 @dataclass(frozen=True)
 class RequirementTarget:
-    """A 95%-confidence fix-displacement-error ceiling on a given flight.
+    """A 95%-confidence fix-displacement-error ceiling at the end of a flight.
 
     Defaults encode the common trans-oceanic requirement: 18.52 km (10 nmi)
     at the end of the flight.
@@ -39,40 +39,46 @@ class RequirementTarget:
 
     fde95: float = 10.0 * NMI_KM
     flight: FlightProfile = field(default_factory=FlightProfile)
-    evaluate_at: float | None = None  # h; None = flight end
 
     def __post_init__(self):
         if self.fde95 <= 0:
             raise ValueError(f"fde95 must be > 0, got {self.fde95}")
-        t = self.eval_time
-        if not 0 < t <= self.flight.duration:
-            raise ValueError(f"evaluate_at={t} outside the flight")
-
-    @property
-    def eval_time(self) -> float:
-        return self.flight.duration if self.evaluate_at is None else self.evaluate_at
 
 
 def fde95_of(m: GyroErrorModel, r: RequirementTarget) -> float:
-    """2 sigma_FDE in km at the target's evaluation time."""
-    return fde_sigma(m, r.flight, r.eval_time).fde95_km
+    """2 sigma_FDE in km at the end of the flight."""
+    return fde_sigma(m, r.flight, r.flight.duration).fde95_km
 
 
-def _fde95_map(N, K, Tc, r: RequirementTarget) -> np.ndarray:
-    """fde95_of for the one-drift turn-on model, broadcast over N, K and Tc."""
-    return _budget(N, [(K, Tc)], True, r.flight.R, r.flight.v, r.eval_time).fde95_km
+def _one_drift_budget(N, K, Tc, r: RequirementTarget) -> ErrorBudget:
+    """The one-drift turn-on budget at the flight end, broadcast over N, K, Tc."""
+    return _budget(N, [(K, Tc)], True, r.flight.R, r.flight.v, r.flight.duration)
+
+
+def _check_specs(N, K, Tc) -> None:
+    """Reject what the noise and drift specs reject, in a float or a range: a
+    range holds a NaN, negative or infinite value iff its min or max does."""
+    for ext in (np.min, np.max):
+        NoiseSpec(float(ext(N, initial=0.0)))
+        DriftSpec(float(ext(K, initial=0.0)), Tc)
 
 
 @dataclass(frozen=True)
 class ComplianceResult:
-    passed: bool
-    fde95_km: float
-    margin_km: float
+    budget: ErrorBudget
     target: RequirementTarget
 
     @property
+    def passed(self) -> bool:
+        return bool(self.budget.fde95_km <= self.target.fde95)
+
+    @property
+    def margin_km(self) -> float:
+        return self.target.fde95 - self.budget.fde95_km
+
+    @property
     def fde95_nmi(self) -> float:
-        return self.fde95_km / NMI_KM
+        return self.budget.fde95_nmi
 
     @property
     def margin_nmi(self) -> float:
@@ -80,31 +86,29 @@ class ComplianceResult:
 
 
 def check_requirement(m: GyroErrorModel, r: RequirementTarget) -> ComplianceResult:
-    """Pass iff 2 sigma_FDE at the evaluation time stays at or under the target."""
-    fde95 = fde95_of(m, r)
-    return ComplianceResult(passed=bool(fde95 <= r.fde95), fde95_km=fde95,
-                            margin_km=r.fde95 - fde95, target=r)
+    """Pass iff 2 sigma_FDE at the end of the flight stays at or under the target."""
+    return ComplianceResult(fde_sigma(m, r.flight, r.flight.duration), r)
 
 
-def _model(N: float, K: float, Tc: float) -> GyroErrorModel:
-    return GyroErrorModel(NoiseSpec(N), (DriftSpec(K, Tc),), turn_on=True)
+def solve_K(N, Tc: float, r: RequirementTarget):
+    """The K >= 0 (rad/h^(3/2)) putting 2 sigma_FDE exactly on the target,
+    for a float N or each entry of an array of N (bit for bit the same).
 
-
-def solve_K(N: float, Tc: float, r: RequirementTarget) -> float | None:
-    """The K >= 0 (rad/h^(3/2)) putting 2 sigma_FDE exactly on the target.
-
-    Returns None when the noise alone already exceeds the target.  Otherwise
-    the exact root K = sqrt(((fde95/2)^2 - noise variance) / drift variance
-    at K = 1).
+    None for a float, NaN in an array, where the noise alone already exceeds
+    the target.  Otherwise the exact root K = sqrt(((fde95/2)^2 - noise
+    variance) / drift variance at K = 1), from one budget for every N.
     """
-    if N < 0 or Tc <= 0:
-        raise ValueError("need N >= 0 and Tc > 0")
-    b = fde_sigma(_model(N, 1.0, Tc), r.flight, r.eval_time)
+    _check_specs(N, 1.0, Tc)
+    b = _one_drift_budget(N, 1.0, Tc, r)
     noise = b.atrk_noise + b.xtrk_noise
-    if 2.0 * math.sqrt(noise) > r.fde95:  # fde95_of at K = 0, bit for bit
-        return None
     drift = b.atrk_drift + b.atrk_turnon + b.xtrk_drift + b.xtrk_turnon
-    return math.sqrt(((r.fde95 / 2.0) ** 2 - noise) / drift)
+    infeasible = 2.0 * np.sqrt(noise) > r.fde95  # fde95_of at K = 0, bit for bit
+    # an infeasible entry is NaN before the root: the CLI raises on the
+    # invalid operation that the root of a negative would be
+    K = np.sqrt(np.where(infeasible, np.nan, (r.fde95 / 2.0) ** 2 - noise) / drift)
+    if np.ndim(K) == 0:
+        return None if infeasible else float(K)
+    return K
 
 
 @dataclass(frozen=True)
@@ -126,23 +130,23 @@ def solve_Tc(N: float, K: float, r: RequirementTarget,
     """Tc with 2 sigma_FDE on the target, scanned over [Tc_lo, 10 x duration]."""
     if N < 0 or K <= 0:
         raise ValueError("need N >= 0 and K > 0")
+    _check_specs(N, K, Tc_lo)
     if Tc_hi is None:
         Tc_hi = 10.0 * r.flight.duration
+
+    def f(Tc):
+        return _one_drift_budget(N, K, Tc, r).fde95_km - r.fde95
+
     grid = np.geomspace(Tc_lo, Tc_hi, scan_points)
-    vals = _fde95_map(N, K, grid, r) - r.fde95
-    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    sign_change = np.nonzero(np.diff(np.sign(f(grid))) != 0)[0]
     if len(sign_change) == 0:
         return TcSolution(Tc=None, crossings=0)
     i = sign_change[0]
     lo, hi = math.log(grid[i]), math.log(grid[i + 1])
-
-    def f(logtc: float) -> float:
-        return fde95_of(_model(N, K, math.exp(logtc)), r) - r.fde95
-
-    flo = f(lo)
+    flo = f(math.exp(lo))
     while hi - lo > _REL_TOL:
         mid = 0.5 * (lo + hi)
-        if (f(mid) > 0) == (flo > 0):
+        if (f(math.exp(mid)) > 0) == (flo > 0):
             lo = mid
         else:
             hi = mid
@@ -155,34 +159,26 @@ class ContourResult:
 
     N_values: np.ndarray      # rad/sqrt(h)
     K_values: np.ndarray      # rad/h^(3/2); NaN where infeasible
-    feasible: np.ndarray      # bool
     Tc: float
     target: RequirementTarget
 
+    @property
+    def feasible(self) -> np.ndarray:
+        return ~np.isnan(self.K_values)
+
     def equivalent_bias(self) -> np.ndarray:
         """K sqrt(Tc/2) in rad/h for each solved point (drift-bias axis)."""
-        return np.array([
-            drift_stationary_std(DriftSpec(k, self.Tc)) if np.isfinite(k) else np.nan
-            for k in self.K_values])
+        return self.K_values * math.sqrt(self.Tc / 2.0)
 
     def to_csv(self, path) -> None:
         """Header ``N_deg_sqrth,K_deg_h32,feasible``; K is empty where infeasible."""
         write_csv(path, ("N_deg_sqrth", "K_deg_h32", "feasible"),
-                  self.N_values / DEG,
-                  np.where(self.feasible, self.K_values / DEG, np.nan),
-                  self.feasible)
+                  self.N_values / DEG, self.K_values / DEG, self.feasible)
 
 
 def solve_K_contour(N_values, Tc: float, r: RequirementTarget) -> ContourResult:
     N_values = np.asarray(N_values, dtype=float)
-    K = np.full(len(N_values), np.nan)
-    ok = np.zeros(len(N_values), dtype=bool)
-    for i, n in enumerate(N_values):
-        k = solve_K(n, Tc, r)
-        if k is not None:
-            K[i], ok[i] = k, True
-    return ContourResult(N_values=N_values, K_values=K, feasible=ok,
-                         Tc=Tc, target=r)
+    return ContourResult(N_values, solve_K(N_values, Tc, r), Tc, r)
 
 
 def fde_grid(N_range, K_range, Tc: float, r: RequirementTarget) -> np.ndarray:
@@ -192,11 +188,8 @@ def fde_grid(N_range, K_range, Tc: float, r: RequirementTarget) -> np.ndarray:
     K_range = np.asarray(K_range, dtype=float)
     if N_range.size < 1 or K_range.size < 1:
         raise ValueError("empty grid ranges")
-    # the noise and drift specs reject NaN, negative or infinite N and K and
-    # a bad Tc; a range holds such a value iff its min or max does
-    for ext in (np.min, np.max):
-        _model(float(ext(N_range)), float(ext(K_range)), Tc)
-    return _fde95_map(N_range[:, None], K_range, Tc, r)
+    _check_specs(N_range, K_range, Tc)
+    return _one_drift_budget(N_range[:, None], K_range, Tc, r).fde95_km
 
 
 def grid_to_csv(path, N_range, K_range, grid_km: np.ndarray) -> None:
@@ -208,15 +201,17 @@ def grid_to_csv(path, N_range, K_range, grid_km: np.ndarray) -> None:
               (grid_km / NMI_KM).ravel())
 
 
-def compliance_to_json(path, res: ComplianceResult, m: GyroErrorModel,
+def compliance_to_json(path, res: ComplianceResult,
                        notes: list[str] | None = None) -> None:
-    b = fde_sigma(m, res.target.flight, res.target.eval_time)
+    """The check report from the budget it judged; with no path, only its
+    ``pass``, ``fde95_nmi``, ``margin_nmi`` and ``notes`` keys, to stdout."""
+    b = res.budget
     doc = {
         "pass": res.passed,
         "fde95_nmi": res.fde95_nmi,
         "margin_nmi": res.margin_nmi,
         "target_nmi": res.target.fde95 / NMI_KM,
-        "evaluate_at_h": res.target.eval_time,
+        "evaluate_at_h": res.target.flight.duration,
         "breakdown": {
             "sigma_atrk_km": b.sigma_atrk,
             "sigma_xtrk_km": b.sigma_xtrk,
@@ -230,4 +225,6 @@ def compliance_to_json(path, res: ComplianceResult, m: GyroErrorModel,
         },
         "notes": notes or [],
     }
+    if path is None:
+        doc = {k: doc[k] for k in ("pass", "fde95_nmi", "margin_nmi", "notes")}
     write_json(path, doc)

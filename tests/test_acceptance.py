@@ -163,6 +163,7 @@ def test_criterion_5_turnon_ratios():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion_6_monte_carlo_validation():
     t0 = time.time()
     stats = run_ensemble(BENCHMARK, P10, n_flights=100, n_groups=10,

@@ -10,8 +10,8 @@ import pytest
 
 import gyrofde
 from gyrofde.allan import allan_variance_empirical, default_tau_grid
-from gyrofde.budget import FlightProfile
-from gyrofde.cli import ConfigError, RunConfig, main, parse_config
+from gyrofde.budget import FlightProfile, fde_sigma
+from gyrofde.cli import ConfigError, RunConfig, build_parser, main, parse_config
 from gyrofde.gyro import DriftSpec, GyroErrorModel, NoiseSpec, synthesize_rate_trace
 from gyrofde.units import DEG
 
@@ -261,6 +261,29 @@ class TestCheckCommand:
         assert doc["pass"] == (doc["fde95_nmi"] <= 10.0)
 
 
+    @pytest.mark.parametrize("argv, rc", [
+        (["--noise", "0.005 deg_per_sqrt_h", "--drift", "0.01 deg_per_h_3_2, 1 h"], 0),
+        (["--noise", "0.1 deg_per_sqrt_h", "--duration", "3 h"], 1),
+    ], ids=["pass", "fail"])
+    def test_report_is_stdout_plus_the_budget_it_judged(self, tmp_path, capsys, argv, rc):
+        out = tmp_path / "check.json"
+        assert main(["check", *argv]) == rc
+        stdout = json.loads(capsys.readouterr().out)
+        assert main(["check", *argv, "--out", str(out)]) == rc
+        doc = json.loads(out.read_text())
+        assert list(stdout) == ["pass", "fde95_nmi", "margin_nmi", "notes"]
+        assert {k: doc[k] for k in stdout} == stdout
+        cfg = parse_config({}, build_parser().parse_args(["check", *argv]))
+        b = fde_sigma(cfg.model, cfg.flight, cfg.flight.duration)
+        assert doc["evaluate_at_h"] == cfg.flight.duration
+        assert doc["breakdown"] == {
+            "sigma_atrk_km": b.sigma_atrk, "sigma_xtrk_km": b.sigma_xtrk,
+            "sigma_fde_km": b.sigma_fde, "atrk_noise_km2": b.atrk_noise,
+            "atrk_drift_km2": b.atrk_drift, "atrk_turnon_km2": b.atrk_turnon,
+            "xtrk_noise_km2": b.xtrk_noise, "xtrk_drift_km2": b.xtrk_drift,
+            "xtrk_turnon_km2": b.xtrk_turnon}
+
+
 def _write_trace(path, rows):
     path.write_text("t_h,rate_deg_per_h\n" + "".join(f"{t},{r}\n" for t, r in rows))
     return str(path)
@@ -430,6 +453,17 @@ def test_zero_drift_with_huge_Tc_changes_no_output(tmp_path, capsys, monkeypatch
         assert not err
         outputs.append((out, {p.name: p.read_bytes() for p in run_dir.iterdir()}))
     assert outputs[1] == outputs[0]
+
+
+def test_zero_drift_with_huge_Tc_leaves_the_analytic_allan_curve(tmp_path, monkeypatch):
+    """The Allan closed form reads the drifts the budget reads: a zero
+    amplitude drift adds nothing, even where its Tc ** 3 would overflow."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["allan", "--noise", "0.0001 deg_per_sqrt_h"]
+    assert main(argv + ["--analytic-out", "bare.csv"]) == 0
+    assert main(argv + ["--drift", "0 deg_per_h_3_2, 1e200 h",
+                        "--analytic-out", "zero.csv"]) == 0
+    assert (tmp_path / "zero.csv").read_bytes() == (tmp_path / "bare.csv").read_bytes()
 
 
 def test_closed_form_commands_load_no_scipy(tmp_path):

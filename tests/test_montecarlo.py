@@ -78,6 +78,7 @@ class TestRunEnsemble:
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines()[0] == "t_h,group,std_atrk_km,std_xtrk_km"
 
+    @pytest.mark.slow
     def test_doubling_flights_shrinks_group_scatter_sqrt2(self):
         m = GyroErrorModel.from_deg(0.005, ((0.02, 0.05),))
         s25 = run_ensemble(m, SHORT, 25, 150, master_seed=9,
@@ -159,6 +160,7 @@ class TestPhysicalProperties:
         rho = np.corrcoef(a, x)[0, 1]
         assert abs(rho) < 3 / np.sqrt(n)
 
+    @pytest.mark.slow
     def test_turnon_paired_difference_matches_closed_form(self):
         # same substreams with and without the turn-on draw isolate exactly
         # the turn-on contribution; its variance is the turn-on term
@@ -175,6 +177,7 @@ class TestPhysicalProperties:
         lo, hi = 0.867, 1.145  # 95% chi2 band for a 400-sample variance
         assert lo < diffs.var(ddof=1) / expected < hi
 
+    @pytest.mark.slow
     def test_halving_dt_changes_pooled_std_under_1_percent(self):
         m = GyroErrorModel.from_deg(0.002, ((0.05, 0.1),))
         pooled = {}

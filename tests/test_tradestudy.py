@@ -20,13 +20,11 @@ def model(N_deg, K_deg=0.0, Tc=1.0):
 class TestRequirementTarget:
     def test_defaults(self):
         assert RNP10.fde95 == pytest.approx(18.52)
-        assert RNP10.eval_time == 10.0
+        assert RNP10.flight.duration == 10.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RequirementTarget(fde95=0.0)
-        with pytest.raises(ValueError):
-            RequirementTarget(evaluate_at=11.0)
 
 
 class TestCheckRequirement:
@@ -187,3 +185,37 @@ class TestSolveKExact:
 
     def test_compliance_verdict_is_a_python_bool(self):
         assert type(check_requirement(model(0.005, 0.01), RNP10).passed) is bool
+
+
+class TestOneBudgetPerQuestion:
+    @pytest.mark.parametrize("Tc", [1.0, 100.0])  # across the series cutover; series side
+    @pytest.mark.parametrize("target_km", [7.408, 18.52, 55.56])
+    def test_solve_K_array_equals_float_calls(self, Tc, target_km):
+        r = RequirementTarget(fde95=target_km)
+        N = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 400)]) * DEG
+        K = solve_K(N, Tc, r)
+        floats = [solve_K(float(n), Tc, r) for n in N]
+        assert np.isnan(K).tolist() == [k is None for k in floats]
+        assert 0 < np.isnan(K).sum() < len(N)
+        assert K[~np.isnan(K)].tolist() == [k for k in floats if k is not None]
+
+    def test_solve_K_array_rejects_what_the_specs_reject(self):
+        for bad in ([1e-3, -1e-3], [1e-3, np.nan], [1e-3, np.inf]):
+            with pytest.raises(ValueError):
+                solve_K(np.array(bad) * DEG, 1.0, RNP10)
+        with pytest.raises(ValueError):
+            solve_K(np.array([1e-3]) * DEG, 0.0, RNP10)
+
+    def test_contour_is_the_array_solve(self):
+        N = np.geomspace(1e-5, 1.0, 50) * DEG
+        cont = solve_K_contour(N, 10.0, RNP10)
+        K = solve_K(N, 10.0, RNP10)
+        assert np.array_equal(cont.K_values, K, equal_nan=True)
+        assert cont.feasible.tolist() == (~np.isnan(K)).tolist()
+        assert np.array_equal(cont.equivalent_bias(), K * np.sqrt(5.0), equal_nan=True)
+
+    @pytest.mark.parametrize("Tc, expected", [(1.0, 1.000005736287511),
+                                              (10.0, 10.00017208961248)])
+    def test_solve_Tc_bisection_values_are_pinned(self, Tc, expected):
+        k = solve_K(1e-3 * DEG, Tc, RNP10)
+        assert solve_Tc(1e-3 * DEG, k, RNP10).Tc == expected
