@@ -9,15 +9,14 @@ from .allan import (AllanCurve, AllanLandmarks, allan_landmarks_analytic,
                     allan_variance_analytic, allan_variance_empirical,
                     confidence_band, default_tau_grid, estimator_dof,
                     identify_from_max)
-from .budget import (ErrorBudget, FlightProfile, atrk_variance, fde_sigma,
-                     turnon_fraction, xtrk_variance)
+from .budget import ErrorBudget, FlightProfile, fde_sigma
 from .gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
                    drift_stationary_std, substream, synthesize_rate_trace)
-from .montecarlo import (ComparisonReport, EnsembleStats, FlightSample,
-                         compare_to_analytic, run_ensemble, simulate_flight)
+from .montecarlo import (ComparisonReport, EnsembleStats, compare_to_analytic,
+                         run_ensemble, simulate_flight)
 from .tradestudy import (ComplianceResult, ContourResult, RequirementTarget,
-                         TcSolution, check_requirement, fde95_of, fde_grid,
-                         solve_K, solve_K_contour, solve_Tc)
+                         check_requirement, fde95_of, fde_grid, solve_K,
+                         solve_K_contour)
 from .units import Quantity, UnitError, convert, parse_quantity
 
 __version__ = "0.1.0"
@@ -30,11 +29,10 @@ __all__ = [
     "allan_variance_empirical", "allan_landmarks_analytic",
     "identify_from_max", "default_tau_grid",
     "estimator_dof", "confidence_band",
-    "FlightProfile", "ErrorBudget", "atrk_variance", "xtrk_variance",
-    "fde_sigma", "turnon_fraction",
-    "FlightSample", "EnsembleStats", "ComparisonReport", "simulate_flight",
+    "FlightProfile", "ErrorBudget", "fde_sigma",
+    "EnsembleStats", "ComparisonReport", "simulate_flight",
     "run_ensemble", "compare_to_analytic",
-    "RequirementTarget", "ComplianceResult", "TcSolution", "ContourResult",
-    "check_requirement", "solve_K", "solve_Tc", "solve_K_contour", "fde_grid",
+    "RequirementTarget", "ComplianceResult", "ContourResult",
+    "check_requirement", "solve_K", "solve_K_contour", "fde_grid",
     "fde95_of",
 ]

@@ -279,14 +279,15 @@ def landmarks_to_json(path, lm: AllanLandmarks,
 # --------------------------------------------------------------------------
 
 def _drift_tails(model: GyroErrorModel, dt: float, m: int):
-    """Per drift: (eps, c, A), with eps = dt/Tc, c as in _second_diff_cov and
+    """Per drift pair that the budget reads (budget._drift_pairs, so none
+    with K = 0): (eps, c, A), with eps = dt/Tc, c as in _second_diff_cov and
     A = c (1 - q^m)^4, so that Cov(d_0, d_l) = -dt^2 sum A e^(-eps (l-2m+1))
     for l >= 2m."""
     terms = []
-    for d in model.drifts:
-        eps = dt / d.Tc
+    for K, Tc in _drift_pairs(model):
+        eps = dt / Tc
         one_minus_q = -math.expm1(-eps)
-        c = d.K * d.K * dt / (one_minus_q ** 3 * (2.0 - one_minus_q))
+        c = K * K * dt / (one_minus_q ** 3 * (2.0 - one_minus_q))
         terms.append((eps, c, c * math.expm1(-m * eps) ** 4))
     return terms
 
@@ -361,7 +362,7 @@ def estimator_dof(model: GyroErrorModel, dt: float, n_samples: int,
         lagged[j] = np.sum(w[1:] * cov[1:] ** 2)
     # (eps, c, A) by tau and drift
     tails = np.array([_drift_tails(model, dt, mj) for mj in m]).reshape(
-        len(m), len(model.drifts), 3)
+        len(m), len(_drift_pairs(model)), 3)
     eps, B = tails[:, :, 0], dt * dt * tails[:, :, 2]
     T = _geometric_tail_sum(eps[:, :, None] + eps[:, None, :],
                             np.maximum(M - 2 * m, 0)[:, None, None])

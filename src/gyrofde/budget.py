@@ -29,10 +29,7 @@ from ._series import atrk_inflight_shape, xminus_em, xtrk_inflight_shape
 from .gyro import GyroErrorModel
 from .units import NMI_KM
 
-__all__ = [
-    "FlightProfile", "ErrorBudget", "atrk_variance", "xtrk_variance",
-    "fde_sigma", "turnon_fraction", "budget_series_to_csv",
-]
+__all__ = ["FlightProfile", "ErrorBudget", "fde_sigma", "budget_series_to_csv"]
 
 
 @dataclass(frozen=True)
@@ -132,18 +129,6 @@ def _drift_pairs(m: GyroErrorModel) -> list[tuple[float, float]]:
     return [(d.K, d.Tc) for d in m.drifts if d.K != 0.0]
 
 
-def atrk_variance(m: GyroErrorModel, R: float, t):
-    """(noise, drift, turn-on) along-track variance terms in km^2 at time t."""
-    b = _budget(m.noise.N, _drift_pairs(m), m.turn_on, R, 0.0, t)
-    return b.atrk_noise, b.atrk_drift, b.atrk_turnon
-
-
-def xtrk_variance(m: GyroErrorModel, v: float, t):
-    """(noise, drift, turn-on) cross-track variance terms in km^2 at time t."""
-    b = _budget(m.noise.N, _drift_pairs(m), m.turn_on, 0.0, v, t)
-    return b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon
-
-
 def fde_sigma(m: GyroErrorModel, p: FlightProfile, t) -> ErrorBudget:
     """Assemble the full budget at time t of the profile.
 
@@ -155,30 +140,6 @@ def fde_sigma(m: GyroErrorModel, p: FlightProfile, t) -> ErrorBudget:
     if outside.any():
         raise ValueError(f"t={t[outside][0]} outside flight duration {p.duration}")
     return _budget(m.noise.N, _drift_pairs(m), m.turn_on, p.R, p.v, t)
-
-
-def turnon_fraction(m: GyroErrorModel, p: FlightProfile, t: float,
-                    axis: str) -> float:
-    """Fraction of the total drift variance on one axis owed to the turn-on
-    state (turn-on term over in-flight + turn-on).
-
-    Far into a flight this tends to Tc/(2t) along-track and 3Tc/(2t)
-    cross-track; for t << Tc it approaches 1 (the turn-on state dominates).
-    """
-    if len(m.drifts) != 1:
-        raise ValueError("turn-on fraction is defined for a single drift process")
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if axis == "ATRK":
-        _, drift, turnon = atrk_variance(m, p.R, t)
-    elif axis == "XTRK":
-        _, drift, turnon = xtrk_variance(m, p.v, t)
-    else:
-        raise ValueError(f"axis must be 'ATRK' or 'XTRK', got {axis!r}")
-    total = drift + turnon
-    if total == 0.0:
-        raise ValueError("drift variance is zero; fraction undefined")
-    return turnon / total
 
 
 def budget_series_to_csv(path, m: GyroErrorModel, p: FlightProfile,

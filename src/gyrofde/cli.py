@@ -232,16 +232,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# From about 2**63 points numpy's linspace and geomspace fail with an
+# IndexError, not a MemoryError; no count near that fits in memory
+_MAX_POINTS = 2 ** 62
+
+
 def _logspace_arg(text: str, name: str) -> np.ndarray:
     try:
         lo, hi, n = text.split(",")
-        lo, hi = float(lo), float(hi)
+        lo, hi, n = float(lo), float(hi), int(n)
         # checked first: numpy warns on stderr before it fails on an infinite end
-        if np.isfinite(lo) and np.isfinite(hi):
-            return np.geomspace(lo, hi, int(n))
+        if np.isfinite(lo) and np.isfinite(hi) and n <= _MAX_POINTS:
+            return np.geomspace(lo, hi, n)
     except ValueError:
         pass
-    raise ConfigError(f"{name}: expected 'lo,hi,points' with finite ends, got {text!r}")
+    raise ConfigError(f"{name}: expected 'lo,hi,points' with finite ends and "
+                      f"at most 2**62 points, got {text!r}")
 
 
 def _check_out_dirs(*paths) -> None:
@@ -258,8 +264,8 @@ def _target(args, cfg: RunConfig) -> ts.RequirementTarget:
 
 
 def _cmd_analytic(args) -> int:
-    if args.points < 2:
-        raise ConfigError(f"--points: need at least 2, got {args.points}")
+    if not 2 <= args.points <= _MAX_POINTS:
+        raise ConfigError(f"--points: need 2 to 2**62, got {args.points}")
     cfg = load_config(args.config, args)
     times = np.linspace(0.0, cfg.flight.duration, args.points)
     budget_series_to_csv(args.out, cfg.model, cfg.flight, times)
@@ -417,6 +423,9 @@ def main(argv=None) -> int:
     except ArithmeticError as e:  # numpy's and Python's float errors
         detail = (e.args or [type(e).__name__])[-1]
         print(f"gyrofde: error: input out of numeric range: {detail}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a count of points, steps or samples too large
+        print(f"gyrofde: error: out of memory: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"gyrofde: i/o error: {e}", file=sys.stderr)

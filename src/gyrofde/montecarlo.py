@@ -21,22 +21,9 @@ from .budget import FlightProfile, fde_sigma
 from .gyro import GyroErrorModel, _rate_series
 
 __all__ = [
-    "FlightSample", "EnsembleStats", "ComparisonReport",
+    "EnsembleStats", "ComparisonReport",
     "simulate_flight", "run_ensemble", "compare_to_analytic",
 ]
-
-
-@dataclass
-class FlightSample:
-    """One simulated flight's error trajectories (km) on the profile's grid."""
-
-    times: np.ndarray
-    atrk_err: np.ndarray
-    xtrk_err: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.times) == len(self.atrk_err) == len(self.xtrk_err)):
-            raise ValueError("times/atrk/xtrk length mismatch")
 
 
 @dataclass
@@ -52,7 +39,6 @@ class EnsembleStats:
     n_groups: int
     model: GyroErrorModel
     profile: FlightProfile
-    master_seed: int
 
     def to_csv(self, path) -> None:
         """Header ``t_h,group,std_atrk_km,std_xtrk_km``, group-major."""
@@ -62,13 +48,14 @@ class EnsembleStats:
                   self.std_atrk.ravel(), self.std_xtrk.ravel())
 
 
-def _flight_errors(m: GyroErrorModel, p: FlightProfile,
-                   flight_seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """times, atrk, xtrk arrays (n_steps+1 entries, starting at exact zeros)."""
+def simulate_flight(m: GyroErrorModel, p: FlightProfile,
+                    seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One flight's times, along- and cross-track errors (km): n_steps+1 entries
+    each, from exact zeros.  ``seed`` is an int or a keyed SeedSequence."""
     n, dt = p.n_steps, p.dt
     errs = []
     for axis in range(2):
-        rate = _rate_series(m, n, dt, flight_seed, prefix=(axis,))
+        rate = _rate_series(m, n, dt, seed, prefix=(axis,))
         dtheta = np.cumsum(rate) * dt
         if axis == 0:
             err = p.R * dtheta
@@ -79,11 +66,6 @@ def _flight_errors(m: GyroErrorModel, p: FlightProfile,
     return times, errs[0], errs[1]
 
 
-def simulate_flight(m: GyroErrorModel, p: FlightProfile, seed) -> FlightSample:
-    """Simulate one flight; ``seed`` is an int or a keyed SeedSequence."""
-    return FlightSample(*_flight_errors(m, p, seed))
-
-
 def _group_accumulators(args):
     """Sum and sum-of-squares over one group's flights at the stat indices."""
     m, p, g, n_flights, master_seed, idx = args
@@ -91,7 +73,7 @@ def _group_accumulators(args):
     ss = np.zeros((2, len(idx)))
     for i in range(n_flights):
         key = np.random.SeedSequence(entropy=master_seed, spawn_key=(g, i))
-        _, atrk, xtrk = _flight_errors(m, p, key)
+        _, atrk, xtrk = simulate_flight(m, p, key)
         for ax, err in enumerate((atrk, xtrk)):
             v = err[idx]
             s[ax] += v
@@ -119,7 +101,8 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
         raise ValueError(f"need at least 1 worker, got {n_workers}")
 
     n = p.n_steps
-    idx = np.arange(0, n + 1, stat_stride)
+    # a stride past the last step records [0, n]; capped, numpy can take it
+    idx = np.arange(0, n + 1, min(stat_stride, n))
     if idx[-1] != n:
         idx = np.append(idx, n)
     times = idx * p.dt
@@ -152,7 +135,7 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
     return EnsembleStats(times=times, std_atrk=std[0], std_xtrk=std[1],
                          pooled_std_atrk=pooled[0], pooled_std_xtrk=pooled[1],
                          n_flights=n_flights, n_groups=n_groups,
-                         model=m, profile=p, master_seed=master_seed)
+                         model=m, profile=p)
 
 
 @dataclass

@@ -3,14 +3,11 @@
 All solvers work against the 95% figure 2 sigma_FDE at the end of the
 flight.  The variance is the noise variance plus K^2 times the
 drift variance at K = 1 (every drift term is K^2 times a positive factor),
-so the K solver takes that root exactly; the Tc dependence is not monotone
-in general, so the Tc solver pre-scans in log space and bisects the
-smallest crossing.
+so the K solver takes that root exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,12 +18,10 @@ from .gyro import DriftSpec, GyroErrorModel, NoiseSpec
 from .units import DEG, NMI_KM
 
 __all__ = [
-    "RequirementTarget", "ComplianceResult", "TcSolution", "ContourResult",
-    "check_requirement", "solve_K", "solve_Tc", "solve_K_contour", "fde_grid",
+    "RequirementTarget", "ComplianceResult", "ContourResult",
+    "check_requirement", "solve_K", "solve_K_contour", "fde_grid",
     "fde95_of", "grid_to_csv", "compliance_to_json",
 ]
-
-_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -111,64 +106,16 @@ def solve_K(N, Tc: float, r: RequirementTarget):
     return K
 
 
-@dataclass(frozen=True)
-class TcSolution:
-    """Smallest Tc crossing of the target, if any; crossings counts how many
-    sign changes the pre-scan saw (>1 flags a non-monotone reach)."""
-
-    Tc: float | None
-    crossings: int
-
-    @property
-    def feasible_in_range(self) -> bool:
-        return self.Tc is not None
-
-
-def solve_Tc(N: float, K: float, r: RequirementTarget,
-             Tc_lo: float = 1e-3, Tc_hi: float | None = None,
-             scan_points: int = 50) -> TcSolution:
-    """Tc with 2 sigma_FDE on the target, scanned over [Tc_lo, 10 x duration]."""
-    if N < 0 or K <= 0:
-        raise ValueError("need N >= 0 and K > 0")
-    _check_specs(N, K, Tc_lo)
-    if Tc_hi is None:
-        Tc_hi = 10.0 * r.flight.duration
-
-    def f(Tc):
-        return _one_drift_budget(N, K, Tc, r).fde95_km - r.fde95
-
-    grid = np.geomspace(Tc_lo, Tc_hi, scan_points)
-    sign_change = np.nonzero(np.diff(np.sign(f(grid))) != 0)[0]
-    if len(sign_change) == 0:
-        return TcSolution(Tc=None, crossings=0)
-    i = sign_change[0]
-    lo, hi = math.log(grid[i]), math.log(grid[i + 1])
-    flo = f(math.exp(lo))
-    while hi - lo > _REL_TOL:
-        mid = 0.5 * (lo + hi)
-        if (f(math.exp(mid)) > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return TcSolution(Tc=math.exp(0.5 * (lo + hi)), crossings=len(sign_change))
-
-
 @dataclass
 class ContourResult:
     """Required-K contour across a noise grid at fixed Tc."""
 
     N_values: np.ndarray      # rad/sqrt(h)
     K_values: np.ndarray      # rad/h^(3/2); NaN where infeasible
-    Tc: float
-    target: RequirementTarget
 
     @property
     def feasible(self) -> np.ndarray:
         return ~np.isnan(self.K_values)
-
-    def equivalent_bias(self) -> np.ndarray:
-        """K sqrt(Tc/2) in rad/h for each solved point (drift-bias axis)."""
-        return self.K_values * math.sqrt(self.Tc / 2.0)
 
     def to_csv(self, path) -> None:
         """Header ``N_deg_sqrth,K_deg_h32,feasible``; K is empty where infeasible."""
@@ -178,7 +125,7 @@ class ContourResult:
 
 def solve_K_contour(N_values, Tc: float, r: RequirementTarget) -> ContourResult:
     N_values = np.asarray(N_values, dtype=float)
-    return ContourResult(N_values, solve_K(N_values, Tc, r), Tc, r)
+    return ContourResult(N_values, solve_K(N_values, Tc, r))
 
 
 def fde_grid(N_range, K_range, Tc: float, r: RequirementTarget) -> np.ndarray:

@@ -24,8 +24,7 @@ import oracles
 from gyrofde.allan import (allan_landmarks_analytic, allan_variance_analytic,
                            allan_variance_empirical, confidence_band,
                            default_tau_grid)
-from gyrofde.budget import (FlightProfile, atrk_variance, fde_sigma,
-                            turnon_fraction, xtrk_variance)
+from gyrofde.budget import FlightProfile, fde_sigma
 from gyrofde.gyro import (DriftSpec, GyroErrorModel, NoiseSpec,
                           synthesize_rate_trace)
 from gyrofde.montecarlo import compare_to_analytic, run_ensemble
@@ -103,13 +102,13 @@ def test_criterion_3_algebraic_consistency():
         Tc = 10.0 ** rng.uniform(-2, 1.7)
         t = 10.0 ** rng.uniform(-3, 1.5)
         m = GyroErrorModel(NoiseSpec(0.0), (DriftSpec(K, Tc),), turn_on=True)
+        b = fde_sigma(m, FlightProfile(duration=max(t, 1.0)), t)
         # along-track split terms against the combined drift form
-        _, drift, turnon = atrk_variance(m, P10.R, t)
+        drift, turnon = b.atrk_drift, b.atrk_turnon
         total = K * K * Tc ** 3 * P10.R ** 2 * _xminus_em_ref(t / Tc)
         worst_a = max(worst_a, abs(drift + turnon - total) / total)
         # cross-track terms against the assembled total
-        nx, dx, tx = xtrk_variance(m, P10.v, t)
-        b = fde_sigma(m, FlightProfile(duration=max(t, 1.0)), t)
+        nx, dx, tx = b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon
         worst_x = max(worst_x, abs(b.sigma_xtrk ** 2 - (nx + dx + tx))
                       / max(b.sigma_xtrk ** 2, 1e-300))
     elapsed = time.time() - t0
@@ -128,8 +127,8 @@ def test_criterion_4_small_time_oracles():
         for frac in (1 / 100, 1 / 300):
             t = Tc * frac
             m = GyroErrorModel(NoiseSpec(0.0), (DriftSpec(K, Tc),))
-            _, da, _ = atrk_variance(m, R, t)
-            _, dx, _ = xtrk_variance(m, v, t)
+            b = fde_sigma(m, P10, t)
+            da, dx = b.atrk_drift, b.xtrk_drift
             worst_taylor_a = max(worst_taylor_a,
                                  abs(da / (K * K * R * R * t ** 3 / 3) - 1))
             worst_taylor_x = max(worst_taylor_x,
@@ -150,10 +149,11 @@ def test_criterion_4_small_time_oracles():
 
 def test_criterion_5_turnon_ratios():
     t0 = time.time()
-    atrk = turnon_fraction(GyroErrorModel.from_deg(0.0, ((0.01, 0.5),)),
-                           P10, 10.0, "ATRK")
-    xtrk = turnon_fraction(GyroErrorModel.from_deg(0.0, ((0.01, 1.0),)),
-                           FlightProfile(duration=20.0), 20.0, "XTRK")
+    b = fde_sigma(GyroErrorModel.from_deg(0.0, ((0.01, 0.5),)), P10, 10.0)
+    atrk = b.atrk_turnon / (b.atrk_drift + b.atrk_turnon)
+    b = fde_sigma(GyroErrorModel.from_deg(0.0, ((0.01, 1.0),)),
+                  FlightProfile(duration=20.0), 20.0)
+    xtrk = b.xtrk_turnon / (b.xtrk_drift + b.xtrk_turnon)
     elapsed = time.time() - t0
     ok = (abs(atrk - 0.025) <= 0.002 and abs(xtrk - 0.075) <= 0.005
           and elapsed < 1.0)

@@ -449,3 +449,18 @@ def test_dof_rejects_a_tau_that_is_no_multiple_of_dt():
     trace = RateTrace(dt=SEC, samples=np.zeros(1000), duration=1000 * SEC)
     with pytest.raises(ValueError, match=message):
         allan_variance_empirical(trace, [1.5 * SEC])
+
+
+@pytest.mark.parametrize("drifts", [(), ((0.03, 0.05),)], ids=["noise-only", "one-drift"])
+def test_zero_amplitude_drift_leaves_the_dof_and_band(drifts):
+    """A drift with K = 0 changes neither the dof nor the band, bit for bit,
+    even where dt/Tc underflows to zero: the dof reads the drifts the
+    budget reads."""
+    bare = GyroErrorModel.from_deg(1e-4, drifts)
+    zero = GyroErrorModel.from_deg(1e-4, drifts + ((0.0, 1e200),))
+    taus = [SEC, 60 * SEC]
+    assert (estimator_dof(zero, SEC, 3600, taus).tolist()
+            == estimator_dof(bare, SEC, 3600, taus).tolist())
+    for got, want in zip(confidence_band(zero, SEC, 3600, taus),
+                         confidence_band(bare, SEC, 3600, taus)):
+        assert got.tolist() == want.tolist()

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gyrofde import _series
-from gyrofde.budget import (FlightProfile, atrk_variance,
-                            budget_series_to_csv, fde_sigma, turnon_fraction,
-                            xtrk_variance)
+from gyrofde.budget import FlightProfile, budget_series_to_csv, fde_sigma
 from gyrofde.gyro import DriftSpec, GyroErrorModel, NoiseSpec
 from gyrofde.units import DEG, NMI_KM
 
@@ -38,12 +36,14 @@ class TestFlightProfile:
 
 class TestAtrkVariance:
     def test_ideal_gyro(self):
-        assert atrk_variance(GyroErrorModel(), P.R, 10.0) == (0.0, 0.0, 0.0)
+        b = fde_sigma(GyroErrorModel(), P, 10.0)
+        assert (b.atrk_noise, b.atrk_drift, b.atrk_turnon) == (0.0, 0.0, 0.0)
 
     def test_noise_only(self):
         # sigma = N R sqrt(t) = 1.758 km at N=0.005 deg/sqrt(h), 10 h
         N = 0.005 * DEG
-        noise, drift, turnon = atrk_variance(GyroErrorModel(NoiseSpec(N)), P.R, 10.0)
+        b = fde_sigma(GyroErrorModel(NoiseSpec(N)), P, 10.0)
+        noise, drift, turnon = b.atrk_noise, b.atrk_drift, b.atrk_turnon
         assert drift == turnon == 0.0
         assert math.sqrt(noise) == pytest.approx(N * P.R * math.sqrt(10.0), rel=1e-12)
         assert math.sqrt(noise) == pytest.approx(1.758, rel=1e-3)
@@ -51,7 +51,8 @@ class TestAtrkVariance:
     def test_drift_with_turnon(self):
         # total drift sigma = K Tc R sqrt(t - Tc (1 - e^-t/Tc)) = 3.336 km
         K, Tc, t = 0.01 * DEG, 1.0, 10.0
-        _, drift, turnon = atrk_variance(drift_model(K, Tc), P.R, t)
+        b = fde_sigma(drift_model(K, Tc), P, t)
+        drift, turnon = b.atrk_drift, b.atrk_turnon
         expected = K * Tc * P.R * math.sqrt(t - Tc * (1 - math.exp(-t / Tc)))
         assert math.sqrt(drift + turnon) == pytest.approx(expected, rel=1e-12)
         assert math.sqrt(drift + turnon) == pytest.approx(3.336, rel=1e-3)
@@ -59,30 +60,31 @@ class TestAtrkVariance:
     def test_inflight_matches_double_sum_oracle(self):
         K, Tc = 0.02 * DEG, 0.8
         for t in (0.004, 0.4, 4.0):
-            _, drift, _ = atrk_variance(drift_model(K, Tc), P.R, t)
+            drift = fde_sigma(drift_model(K, Tc), P, t).atrk_drift
             assert drift == pytest.approx(
                 oracles.atrk_drift_var(K, Tc, P.R, t), rel=2e-3)
 
     def test_turnon_matches_oracle(self):
         K, Tc, t = 0.02 * DEG, 0.8, 4.0
-        _, _, turnon = atrk_variance(drift_model(K, Tc), P.R, t)
+        turnon = fde_sigma(drift_model(K, Tc), P, t).atrk_turnon
         assert turnon == pytest.approx(
             oracles.atrk_turnon_var(K, Tc, P.R, t), rel=2e-3)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            atrk_variance(GyroErrorModel(), P.R, -1.0)
+            fde_sigma(GyroErrorModel(), P, -1.0)
 
 
 class TestXtrkVariance:
     def test_no_translation_no_error(self):
         m = GyroErrorModel.from_deg(0.01, ((0.01, 1.0),))
-        assert xtrk_variance(m, 0.0, 10.0) == (0.0, 0.0, 0.0)
+        b = fde_sigma(m, FlightProfile(v=0.0), 10.0)
+        assert (b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon) == (0.0, 0.0, 0.0)
 
     def test_noise_only(self):
         # sigma = N v t^1.5 / sqrt(3) = 1.434 km
         N = 0.005 * DEG
-        noise, _, _ = xtrk_variance(GyroErrorModel(NoiseSpec(N)), P.v, 10.0)
+        noise = fde_sigma(GyroErrorModel(NoiseSpec(N)), P, 10.0).xtrk_noise
         assert math.sqrt(noise) == pytest.approx(
             N * P.v * 10.0 ** 1.5 / math.sqrt(3), rel=1e-12)
         assert math.sqrt(noise) == pytest.approx(1.434, rel=1e-3)
@@ -90,7 +92,8 @@ class TestXtrkVariance:
     def test_benchmark_drift_terms(self):
         # in-flight bracket 243.832 h^3; sigmas 2.453 and 1.000 km
         K, Tc, t = 0.01 * DEG, 1.0, 10.0
-        _, drift, turnon = xtrk_variance(drift_model(K, Tc), P.v, t)
+        b = fde_sigma(drift_model(K, Tc), P, t)
+        drift, turnon = b.xtrk_drift, b.xtrk_turnon
         assert drift / (K * K * Tc * Tc * P.v * P.v) == pytest.approx(243.832, rel=1e-5)
         assert math.sqrt(drift) == pytest.approx(2.453, rel=1e-3)
         assert math.sqrt(turnon) == pytest.approx(1.000, rel=1e-3)
@@ -98,13 +101,13 @@ class TestXtrkVariance:
     def test_inflight_matches_double_sum_oracle(self):
         K, Tc = 0.02 * DEG, 0.8
         for t in (0.004, 0.4, 4.0):
-            _, drift, _ = xtrk_variance(drift_model(K, Tc), P.v, t)
+            drift = fde_sigma(drift_model(K, Tc), P, t).xtrk_drift
             assert drift == pytest.approx(
                 oracles.xtrk_drift_var(K, Tc, P.v, t), rel=2e-3)
 
     def test_turnon_matches_oracle(self):
         K, Tc, t = 0.02 * DEG, 0.8, 4.0
-        _, _, turnon = xtrk_variance(drift_model(K, Tc), P.v, t)
+        turnon = fde_sigma(drift_model(K, Tc), P, t).xtrk_turnon
         assert turnon == pytest.approx(
             oracles.xtrk_turnon_var(K, Tc, P.v, t), rel=2e-3)
 
@@ -114,7 +117,8 @@ class TestAlgebraicIdentities:
     @given(log_K, log_Tc, log_t)
     def test_atrk_split_equals_total_form(self, K, Tc, t):
         # in-flight + turn-on == K^2 Tc^2 R^2 [t - Tc (1 - e^-t/Tc)] to 1e-12
-        _, drift, turnon = atrk_variance(drift_model(K, Tc), P.R, t)
+        b = fde_sigma(drift_model(K, Tc), FlightProfile(duration=t), t)
+        drift, turnon = b.atrk_drift, b.atrk_turnon
         total = K * K * Tc ** 3 * P.R ** 2 * _xminus_em_ref(t / Tc)
         assert drift + turnon == pytest.approx(total, rel=1e-12)
 
@@ -122,8 +126,8 @@ class TestAlgebraicIdentities:
     @given(log_K, log_Tc, log_t)
     def test_xtrk_terms_sum_to_total(self, K, Tc, t):
         m = drift_model(K, Tc)
-        noise, drift, turnon = xtrk_variance(m, P.v, t)
         b = fde_sigma(m, FlightProfile(duration=max(t, 1e-3)), t)
+        noise, drift, turnon = b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon
         assert b.sigma_xtrk ** 2 == pytest.approx(noise + drift + turnon, rel=1e-12)
 
 
@@ -142,13 +146,13 @@ class TestSmallTimeLimits:
     def test_atrk_cubic(self):
         K, Tc = 0.03 * DEG, 2.0
         for t in (Tc / 100, Tc / 1000):
-            _, drift, _ = atrk_variance(drift_model(K, Tc), 1.0, t)
+            drift = fde_sigma(drift_model(K, Tc), FlightProfile(R=1.0), t).atrk_drift
             assert drift == pytest.approx(K * K * t ** 3 / 3, rel=0.01)
 
     def test_xtrk_quintic(self):
         K, Tc = 0.03 * DEG, 2.0
         for t in (Tc / 100, Tc / 1000):
-            _, drift, _ = xtrk_variance(drift_model(K, Tc), 1.0, t)
+            drift = fde_sigma(drift_model(K, Tc), FlightProfile(v=1.0), t).xtrk_drift
             assert drift == pytest.approx(K * K * t ** 5 / 20, rel=0.01)
 
     def test_series_consistent_with_direct_at_cutover(self):
@@ -169,8 +173,9 @@ class TestLargeTimeGrowth:
         # deficit at t = 10 Tc is 14.5% on the std scale, 27% on variance)
         N, K, Tc = 0.003 * DEG, 0.01 * DEG, 0.6
         for t in (10 * Tc, 20 * Tc, 50 * Tc):
-            noise, drift, _ = xtrk_variance(
-                GyroErrorModel(NoiseSpec(N), (DriftSpec(K, Tc),)), P.v, t)
+            b = fde_sigma(GyroErrorModel(NoiseSpec(N), (DriftSpec(K, Tc),)),
+                          FlightProfile(duration=t), t)
+            noise, drift = b.xtrk_noise, b.xtrk_drift
             assert noise == pytest.approx(N * N * P.v ** 2 * t ** 3 / 3, rel=1e-12)
             assert math.sqrt(drift) == pytest.approx(
                 math.sqrt(K * K * Tc * Tc * P.v ** 2 * t ** 3 / 3), rel=0.15)
@@ -233,7 +238,8 @@ class TestTurnonFraction:
     def test_atrk_long_flight(self):
         # ~ Tc/(2t) = 2.5% of the total drift variance at t=10 h, Tc=0.5 h
         m = GyroErrorModel.from_deg(0.0, ((0.01, 0.5),))
-        frac = turnon_fraction(m, P, 10.0, "ATRK")
+        b = fde_sigma(m, P, 10.0)
+        frac = b.atrk_turnon / (b.atrk_drift + b.atrk_turnon)
         assert frac == pytest.approx(0.0263158, rel=1e-4)
         assert frac == pytest.approx(0.025, abs=0.002)
 
@@ -241,24 +247,16 @@ class TestTurnonFraction:
         # ~ 3 Tc/(2t) = 7.5% at t = 20 Tc
         m = GyroErrorModel.from_deg(0.0, ((0.01, 1.0),))
         p = FlightProfile(duration=20.0)
-        frac = turnon_fraction(m, p, 20.0, "XTRK")
+        b = fde_sigma(m, p, 20.0)
+        frac = b.xtrk_turnon / (b.xtrk_drift + b.xtrk_turnon)
         assert frac == pytest.approx(0.0731460, rel=1e-4)
         assert frac == pytest.approx(0.075, abs=0.005)
 
     def test_short_flight_turnon_dominates(self):
         m = GyroErrorModel.from_deg(0.0, ((0.01, 1.0),))
-        frac = turnon_fraction(m, P, 0.01, "ATRK")
+        b = fde_sigma(m, P, 0.01)
+        frac = b.atrk_turnon / (b.atrk_drift + b.atrk_turnon)
         assert frac > 0.9
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            turnon_fraction(GyroErrorModel.from_deg(0.01), P, 10.0, "ATRK")
-        m = GyroErrorModel.from_deg(0.0, ((0.0, 1.0),))
-        with pytest.raises(ValueError):
-            turnon_fraction(m, P, 10.0, "ATRK")
-        m = GyroErrorModel.from_deg(0.0, ((0.01, 1.0),))
-        with pytest.raises(ValueError):
-            turnon_fraction(m, P, 10.0, "diagonal")
 
 
 def test_budget_csv_schema(tmp_path):

@@ -321,6 +321,11 @@ def _bad_input_cases(tmp_path):
         "allan-nan-trace": ["allan", "--trace", nan, "--empirical-out", out],
         "allan-gap-trace": ["allan", "--trace", gap, "--empirical-out", out],
         "analytic-points-0": ["analytic", "--points", "0", "--out", out],
+        "analytic-points-1e15": ["analytic", "--points", str(10 ** 15), "--out", out],
+        "analytic-points-2**63": ["analytic", "--points", str(2 ** 63), "--out", out],
+        "grid-points-1e15": ["grid", "--n-range", f"1e-3,1e-2,{10 ** 15}", "--out", out],
+        "contour-points-2**63": ["contour", "--n-range", f"1e-3,1e-2,{2 ** 63}",
+                                 "--out", out],
         "seed-true": ["analytic", "--config", seed_true, "--out", out],
         "fit-allan-one-row": ["fit-allan", "--curve", str(one_row), "--out", out],
         "fit-allan-bad-number": ["fit-allan", "--curve", str(bad_number), "--out", out],
@@ -338,7 +343,9 @@ def _bad_input_cases(tmp_path):
     "simulate-groups-0", "simulate-flights-1", "simulate-workers-0",
     "check-negative-target",
     "grid-zero-points", "allan-short-trace", "allan-nan-trace",
-    "allan-gap-trace", "analytic-points-0", "seed-true", "fit-allan-one-row",
+    "allan-gap-trace", "analytic-points-0", "analytic-points-1e15",
+    "analytic-points-2**63", "grid-points-1e15", "contour-points-2**63",
+    "seed-true", "fit-allan-one-row",
     "fit-allan-bad-number", "fit-allan-nan-sigma", "fit-allan-rate-trace",
     "fit-allan-unordered-taus", "fit-allan-negative-tau"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
@@ -347,6 +354,17 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("gyrofde: error: ")
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_stat_stride_past_the_last_step_records_the_last_step(tmp_path, monkeypatch):
+    """A stride of 2**63, past numpy's int64 arange, records what a stride of
+    n_steps records: the start and the end."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--noise", "0.005 deg_per_sqrt_h", "--duration", "0.01 h",
+            "--groups", "1", "--flights", "2"]
+    assert main(argv + ["--stat-stride", str(2 ** 63), "--out", "far.csv"]) == 0
+    assert main(argv + ["--stat-stride", "36", "--out", "end.csv"]) == 0
+    assert (tmp_path / "far.csv").read_bytes() == (tmp_path / "end.csv").read_bytes()
 
 
 def _failed_run_cases(tmp_path):

@@ -1,5 +1,5 @@
-"""Fuzz the input boundary: random configs and CSV bodies through main(), in
-process.  Whatever the input, main returns 0, 1 (a failed ``check`` only) or
+"""Fuzz the input boundary: random configs, CSV bodies and argv through
+main(), in process.  Whatever the input, main returns 0, 1 (a failed ``check`` only) or
 2; exit 2 prints exactly one ``gyrofde: `` line on stderr and leaves no
 output file; nothing warns."""
 
@@ -140,3 +140,95 @@ def test_random_csv_bodies(data, command):
         (tmp / "in.csv").write_text("".join(line + "\n" for line in lines))
         flag = "--trace" if command == "allan" else "--curve"
         _run(tmp, [command, flag, str(tmp / "in.csv"), *outputs(tmp)], ["out"])
+
+
+def _mostly(right, *wrong):
+    """``right`` four times in five, else one of ``wrong``."""
+    return st.one_of(right, right, right, right, st.one_of(*wrong))
+
+
+# Integer flags at small and extreme values.  numpy refuses at once to
+# allocate 10**15 samples, and 2**63 is past its index type; a count in
+# between would allocate real memory, so no draw below asks for one.
+counts = st.sampled_from([-1, 0, 1, 2, 3, 2 ** 63, 10 ** 15])
+few = _mostly(st.sampled_from([2, 3]), st.sampled_from([-1, 0, 1]))
+
+
+def _flag_value(*units):
+    return _mostly(_quantity(units), _quantity(KNOWN_UNITS),
+                   st.sampled_from(["", "abc", "1", "nan h", "1 km_per_h h"]))
+
+
+# A sampling command (simulate, allan --synthesize-trace) always gets one of
+# these durations and steps: at most 3600 steps, or at least 1e300, which
+# numpy refuses at once.
+SHORT = _mostly(st.sampled_from(["0.01 h", "36 s", "1 s"]),
+                st.sampled_from(["0 h", "-1 h", "1e-300 h", "1e300 h"]))
+STEP = _mostly(st.sampled_from(["1 s", "0.5 s", "36 s"]),
+               st.sampled_from(["1 h", "0 s", "-1 s", "1e-300 s", "1e300 h"]))
+
+
+def _common(sampled):
+    """The flags every config-reading command takes; a sampling command gets
+    its --duration as a required flag."""
+    drift = _mostly(st.builds("{}, {}".format, _flag_value("deg_per_h_3_2"),
+                              _flag_value("h", "s")),
+                    _flag_value("h"))
+    flags = {"--noise": _flag_value("deg_per_sqrt_h"),
+             "--drift": st.lists(drift, min_size=1, max_size=3),
+             "--v": _flag_value("km_per_h"), "--radius": _flag_value("km"),
+             "--dt": STEP if sampled else _flag_value("h", "s"),
+             "--seed": counts, "--turn-on": st.none(), "--no-turn-on": st.none()}
+    if not sampled:
+        flags["--duration"] = _flag_value("h", "s")
+    return flags
+
+
+def _range():
+    bound = _mostly(usual.map(repr), numbers.map(repr), st.sampled_from(["nan", "inf", "x"]))
+    return st.builds("{},{},{}".format, bound, bound, counts)
+
+
+TARGET = {"--target": _flag_value("nmi", "km")}
+TC = {"--tc": _flag_value("h", "s")}
+ARGV_CASES = {  # command: (required flags, optional flags, files it may write)
+    "analytic": ({"--out": st.just("o")}, {**_common(False), "--points": counts}, ["o"]),
+    "simulate": ({"--out": st.just("o"), "--duration": SHORT, "--groups": few,
+                  "--flights": few},
+                 {**_common(True), "--stat-stride": counts,
+                  "--workers": few.filter(lambda n: n <= 2), "--report": st.just("r")},
+                 ["o", "r"]),
+    "allan": ({"--duration": SHORT, "--trace-duration": SHORT,
+               "--analytic-out": st.just("a")},
+              {**_common(True), "--synthesize-trace": st.just("t"),
+               "--empirical-out": st.just("e"), "--landmarks-out": st.just("l")},
+              ["t", "a", "e", "l"]),
+    "fit-allan": ({}, {"--tau-max": _flag_value("s", "h"),
+                       "--sigma-max": _flag_value("deg_per_h"), "--out": st.just("o")},
+                  ["o"]),
+    "grid": ({"--out": st.just("o")},
+             {**_common(False), **TARGET, **TC, "--n-range": _range(),
+              "--k-range": _range()}, ["o"]),
+    "contour": ({"--out": st.just("o")},
+                {**_common(False), **TARGET, **TC, "--n-range": _range()}, ["o"]),
+    "check": ({}, {**_common(False), **TARGET, "--out": st.just("o")}, ["o"]),
+}
+
+
+@settings(FUZZ, max_examples=300)
+@given(data=st.data(), command=st.sampled_from(sorted(ARGV_CASES)))
+def test_random_argv(data, command):
+    """Random flags for every command, each as ``--flag=value``."""
+    required, optional, outputs = ARGV_CASES[command]
+    flags = data.draw(st.fixed_dictionaries(required, optional=optional))
+    if "--turn-on" in flags and "--no-turn-on" in flags:  # exclusive in argparse
+        del flags["--no-turn-on"]
+    with tempfile.TemporaryDirectory() as d:
+        tmp = pathlib.Path(d)
+        argv = [command]
+        for flag, value in flags.items():
+            for v in value if isinstance(value, list) else [value]:
+                if v in outputs:
+                    v = str(tmp / v)
+                argv.append(flag if v is None else f"{flag}={v}")
+        _run(tmp, argv, outputs)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gyrofde.budget import FlightProfile, fde_sigma, xtrk_variance
+from gyrofde.budget import FlightProfile, fde_sigma
 from gyrofde.gyro import GyroErrorModel, NoiseSpec
 from gyrofde.montecarlo import (EnsembleStats, compare_to_analytic,
                                 run_ensemble, simulate_flight)
@@ -17,21 +17,21 @@ def keyed(entropy, *key):
 
 class TestSimulateFlight:
     def test_ideal_gyro_stays_on_track(self):
-        fs = simulate_flight(GyroErrorModel(), SHORT, seed=1)
-        assert np.all(fs.atrk_err == 0.0) and np.all(fs.xtrk_err == 0.0)
+        _, atrk, xtrk = simulate_flight(GyroErrorModel(), SHORT, seed=1)
+        assert np.all(atrk == 0.0) and np.all(xtrk == 0.0)
 
     def test_errors_start_at_zero(self):
         m = GyroErrorModel.from_deg(0.01, ((0.05, 0.2),), turn_on=True)
-        fs = simulate_flight(m, SHORT, seed=2)
-        assert fs.atrk_err[0] == 0.0 and fs.xtrk_err[0] == 0.0
-        assert fs.times[0] == 0.0 and fs.times[-1] == pytest.approx(0.1)
+        times, atrk, xtrk = simulate_flight(m, SHORT, seed=2)
+        assert atrk[0] == 0.0 and xtrk[0] == 0.0
+        assert times[0] == 0.0 and times[-1] == pytest.approx(0.1)
 
     def test_seed_determinism(self):
         m = GyroErrorModel.from_deg(0.01, ((0.05, 0.2),))
-        a = simulate_flight(m, SHORT, seed=42)
-        b = simulate_flight(m, SHORT, seed=42)
-        np.testing.assert_array_equal(a.atrk_err, b.atrk_err)
-        np.testing.assert_array_equal(a.xtrk_err, b.xtrk_err)
+        _, a_atrk, a_xtrk = simulate_flight(m, SHORT, seed=42)
+        _, b_atrk, b_xtrk = simulate_flight(m, SHORT, seed=42)
+        np.testing.assert_array_equal(a_atrk, b_atrk)
+        np.testing.assert_array_equal(a_xtrk, b_xtrk)
 
     def test_noise_only_variance_matches_closed_form(self):
         # var ATRK(t) = N^2 R^2 t within 5% over 1e4 flights
@@ -39,7 +39,8 @@ class TestSimulateFlight:
         m = GyroErrorModel(NoiseSpec(N), ())
         vals = np.empty(10_000)
         for i in range(len(vals)):
-            vals[i] = simulate_flight(m, SHORT, keyed(202, i)).atrk_err[-1]
+            _, atrk, _ = simulate_flight(m, SHORT, keyed(202, i))
+            vals[i] = atrk[-1]
         expected = N * N * SHORT.R ** 2 * SHORT.duration
         assert vals.var(ddof=1) == pytest.approx(expected, rel=0.05)
 
@@ -102,8 +103,7 @@ class TestCompareToAnalytic:
                               std_atrk=np.tile(ana[0], (3, 1)),
                               std_xtrk=np.tile(ana[1], (3, 1)),
                               pooled_std_atrk=ana[0], pooled_std_xtrk=ana[1],
-                              n_flights=100, n_groups=3, model=m, profile=p,
-                              master_seed=0)
+                              n_flights=100, n_groups=3, model=m, profile=p)
         rep = compare_to_analytic(stats, m, p)
         np.testing.assert_allclose(rep.rel_dev_atrk, 0.0, atol=1e-15)
         np.testing.assert_allclose(rep.rel_dev_xtrk, 0.0, atol=1e-15)
@@ -155,8 +155,8 @@ class TestPhysicalProperties:
         n = 1000
         a, x = np.empty(n), np.empty(n)
         for i in range(n):
-            fs = simulate_flight(m, p, keyed(31, i))
-            a[i], x[i] = fs.atrk_err[-1], fs.xtrk_err[-1]
+            _, atrk, xtrk = simulate_flight(m, p, keyed(31, i))
+            a[i], x[i] = atrk[-1], xtrk[-1]
         rho = np.corrcoef(a, x)[0, 1]
         assert abs(rho) < 3 / np.sqrt(n)
 
@@ -171,9 +171,10 @@ class TestPhysicalProperties:
         diffs = np.empty(n)
         for i in range(n):
             key = keyed(77, i)
-            diffs[i] = (simulate_flight(m_on, p, key).xtrk_err[-1]
-                        - simulate_flight(m_off, p, key).xtrk_err[-1])
-        expected = xtrk_variance(m_on, p.v, p.duration)[2]
+            _, _, on = simulate_flight(m_on, p, key)
+            _, _, off = simulate_flight(m_off, p, key)
+            diffs[i] = on[-1] - off[-1]
+        expected = fde_sigma(m_on, p, p.duration).xtrk_turnon
         lo, hi = 0.867, 1.145  # 95% chi2 band for a 400-sample variance
         assert lo < diffs.var(ddof=1) / expected < hi
 

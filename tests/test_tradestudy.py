@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyrofde.gyro import DriftSpec, GyroErrorModel, NoiseSpec, drift_stationary_std
+from gyrofde.gyro import DriftSpec, GyroErrorModel, NoiseSpec
 from gyrofde.tradestudy import (RequirementTarget, check_requirement, fde95_of,
-                                fde_grid, grid_to_csv, solve_K, solve_K_contour,
-                                solve_Tc)
+                                fde_grid, grid_to_csv, solve_K, solve_K_contour)
 from gyrofde.units import DEG
 
 RNP10 = RequirementTarget()  # 10 nmi over 10 h at 900 km/h
@@ -76,25 +75,10 @@ class TestSolveK:
 
 
 class TestSolveTc:
-    def test_round_trip_with_solve_K(self):
-        for Tc in (0.3, 1.0, 5.0):
-            k = solve_K(1e-3 * DEG, Tc, RNP10)
-            sol = solve_Tc(1e-3 * DEG, k, RNP10)
-            assert sol.feasible_in_range
-            assert sol.Tc == pytest.approx(Tc, rel=0.01)
-
     def test_long_time_constant_requirement(self):
         # Tc = 10 h requirement lands near 3.7e-3 deg/h^1.5
         k10 = solve_K(1e-3 * DEG, 10.0, RNP10)
         assert k10 / DEG == pytest.approx(3.7e-3, rel=0.10)
-
-    def test_small_K_infeasible_in_range(self):
-        sol = solve_Tc(1e-3 * DEG, 1e-5 * DEG, RNP10)
-        assert not sol.feasible_in_range and sol.crossings == 0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            solve_Tc(0.0, 0.0, RNP10)
 
 
 class TestFdeGrid:
@@ -154,11 +138,6 @@ class TestContour:
         boundary = 0.5 * (lo + hi) / DEG
         assert boundary == pytest.approx(2e-2, rel=0.10)
 
-    def test_equivalent_bias_column(self):
-        cont = solve_K_contour(np.array([1e-4]) * DEG, 2.0, RNP10)
-        k = cont.K_values[0]
-        assert cont.equivalent_bias()[0] == drift_stationary_std(DriftSpec(k, 2.0))
-
     def test_contour_csv(self, tmp_path):
         cont = solve_K_contour(np.array([1e-3, 5e-2]) * DEG, 1.0, RNP10)
         path = tmp_path / "contour.csv"
@@ -212,10 +191,3 @@ class TestOneBudgetPerQuestion:
         K = solve_K(N, 10.0, RNP10)
         assert np.array_equal(cont.K_values, K, equal_nan=True)
         assert cont.feasible.tolist() == (~np.isnan(K)).tolist()
-        assert np.array_equal(cont.equivalent_bias(), K * np.sqrt(5.0), equal_nan=True)
-
-    @pytest.mark.parametrize("Tc, expected", [(1.0, 1.000005736287511),
-                                              (10.0, 10.00017208961248)])
-    def test_solve_Tc_bisection_values_are_pinned(self, Tc, expected):
-        k = solve_K(1e-3 * DEG, Tc, RNP10)
-        assert solve_Tc(1e-3 * DEG, k, RNP10).Tc == expected
