@@ -107,12 +107,16 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
         idx = np.append(idx, n)
     times = idx * p.dt
 
-    jobs = [(m, p, g, n_flights, master_seed, idx) for g in range(n_groups)]
+    # allocated before any flight runs: a group count too large to hold
+    # fails here, at once
+    std = np.zeros((2, n_groups, len(idx)))
+    jobs = ((m, p, g, n_flights, master_seed, idx) for g in range(n_groups))
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         # a worker started by spawn or forkserver does not inherit the
-        # caller's floating-point error state, so pass it on
-        with ProcessPoolExecutor(max_workers=n_workers,
+        # caller's floating-point error state, so pass it on; under fork the
+        # pool starts every worker it may use, so it may use one per group
+        with ProcessPoolExecutor(max_workers=min(n_workers, n_groups),
                                  initializer=partial(np.seterr, **np.geterr())) as pool:
             results = list(pool.map(_group_accumulators, jobs))
     else:
@@ -120,7 +124,6 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
     results.sort(key=lambda r: r[0])
 
     nf = float(n_flights)
-    std = np.zeros((2, n_groups, len(idx)))
     tot_s = np.zeros((2, len(idx)))
     tot_ss = np.zeros((2, len(idx)))
     for g, s, ss in results:

@@ -125,6 +125,8 @@ class ContourResult:
 
 def solve_K_contour(N_values, Tc: float, r: RequirementTarget) -> ContourResult:
     N_values = np.asarray(N_values, dtype=float)
+    if N_values.size < 1:
+        raise ValueError("empty contour range")
     return ContourResult(N_values, solve_K(N_values, Tc, r))
 
 

@@ -7,11 +7,15 @@ import io
 import json
 import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gyrofde
+from gyrofde import _io
 from gyrofde import tradestudy as ts
 from gyrofde.allan import AllanCurve, allan_variance_analytic, default_tau_grid
 from gyrofde.budget import FlightProfile, budget_series_to_csv, fde_sigma
@@ -100,6 +104,85 @@ def test_csv_bytes_match_csv_writer(tmp_path, case):
     w.writerow(header)
     w.writerows(rows)
     assert path.read_bytes() == ref.getvalue().encode()
+
+
+def _cells(x) -> list[str]:
+    """The float cells ``write_csv`` writes for ``x``, one per line, as
+    written under the CLI's floating-point error state."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "x.csv"
+        with np.errstate(all="raise"):
+            _io.write_csv(path, ["x"], np.asarray(x, dtype=np.float64))
+        return path.read_text().split("\n")[1:-1]
+
+
+def _python(x) -> list[str]:
+    return ["" if v != v else "%.17g" % v for v in np.asarray(x, dtype=np.float64).tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_float_cells_are_python_percent_17g(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _cells(x) == _python(x)
+
+
+def _edge_values() -> np.ndarray:
+    tens = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    ends = np.array([1e-250, 1e250, 1e16, 1e17, 1e15])
+    near = np.concatenate([tens, ends])
+    return np.concatenate([
+        near, np.nextafter(near, np.inf), np.nextafter(near, 0.0),
+        # exact ties of the 17th digit, then short and 17-digit values
+        [1000000000000000.25, 1000000000000000.75, 0.5, 2.5, 9007199254740993.0,
+         12345678901234567.0, 1.5e-5, 1.25e-4],
+        # subnormals, zeros, infinities, NaN
+        [5e-324, 1e-310, 2.2250738585072009e-308, 0.0, np.inf, np.nan],
+        # each notation: 1e-5 and 1e16 are the last decades before "e"
+        [1e-5, 1.2e-5, 1e-4, 1.2e-4, 0.1, 1.0, 10.0, 1234.5, 1e16 + 2, 1.234e16, 1e21],
+    ])
+
+
+def test_float_cells_at_the_edges():
+    x = _edge_values()
+    x = np.concatenate([x, -x])
+    assert _cells(x) == _python(x)
+
+
+def test_ordinary_floats_are_formatted_by_numpy():
+    """Python formats a near-tie or a decade edge; ordinary values, across
+    the range, all go through numpy."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(4096) * 10.0 ** rng.integers(-240, 240, 4096)
+    _, exact = _io._float_cells(x)
+    assert exact.mean() > 0.999
+
+
+def test_rows_across_blocks_match_csv_writer(tmp_path):
+    """Several row blocks, with a NaN and a negative on each side of the
+    block edges, and float, int and bool columns mixed."""
+    step = _io._CELLS // 4
+    n = 3 * step + 7
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal(n) * 1e3
+    a[[step - 1, 2 * step]] = np.nan
+    a[[step, 2 * step - 1]] = -abs(a[[step, 2 * step - 1]])
+    cols = [a, np.arange(n) - 5, rng.random(n) > 0.5,
+            (rng.random(n) * 1e-3).astype(np.float32)]
+    path = tmp_path / "out.csv"
+    _io.write_csv(path, ["a", "i", "b", "f"], *cols)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["a", "i", "b", "f"])
+    w.writerows([["" if x != x else _g(x), i, int(b), _g(f)]
+                 for x, i, b, f in zip(*(c.tolist() for c in cols))])
+    assert path.read_bytes() == ref.getvalue().encode()
+
+
+def test_zero_rows_write_the_header_only(tmp_path):
+    path = tmp_path / "out.csv"
+    _io.write_csv(path, ["a", "b"], np.array([]), np.array([], dtype=int))
+    assert path.read_bytes() == b"a,b\r\n"
 
 
 @pytest.mark.parametrize("argv", [

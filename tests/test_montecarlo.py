@@ -71,6 +71,34 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(a.std_xtrk, b.std_xtrk)
         np.testing.assert_array_equal(a.pooled_std_xtrk, b.pooled_std_xtrk)
 
+    def test_pool_has_no_more_workers_than_groups(self, tmp_path, monkeypatch):
+        """Under fork a pool starts every worker it may use, so it may use
+        one per group; a recording fake stands in, so no process starts."""
+        import concurrent.futures
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        m = GyroErrorModel.from_deg(0.01, ((0.05, 0.2),))
+        paths = [tmp_path / "8.csv", tmp_path / "1.csv"]
+        for path, workers in zip(paths, (8, 1)):
+            run_ensemble(m, SHORT, 3, 3, master_seed=5, stat_stride=90,
+                         n_workers=workers).to_csv(path)
+        assert sizes == [3]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_csv_bytes_reproducible(self, tmp_path):
         m = GyroErrorModel.from_deg(0.01, ((0.05, 0.2),))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
