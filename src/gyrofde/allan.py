@@ -24,7 +24,7 @@ import numpy as np
 from ._io import read_csv, write_csv, write_json
 from ._series import atrk_inflight_shape, xminus_em
 from .budget import _drift_pairs
-from .gyro import DriftSpec, GyroErrorModel, RateTrace
+from .gyro import DriftSpec, GyroErrorModel, RateTrace, _whole_steps
 from .units import DEG, HOUR_S
 
 __all__ = [
@@ -153,11 +153,10 @@ def default_tau_grid(dt: float, duration: float,
 
 def _window_length(tau: float, dt: float) -> int:
     """The window length m of tau = m dt, to 1e-9 relative."""
-    m = tau / dt
-    m_int = round(m) if math.isfinite(m) else 0
-    if abs(m - m_int) > 1e-9 * max(m, 1.0) or m_int < 1:
+    m = _whole_steps(tau, dt)
+    if m is None:
         raise ValueError(f"tau={tau} is not an integer multiple of dt={dt}")
-    return m_int
+    return m
 
 
 def allan_variance_empirical(trace: RateTrace, taus) -> AllanCurve:
@@ -374,10 +373,15 @@ def confidence_band(model: GyroErrorModel, dt: float, n_samples: int,
                     taus, confidence: float = 0.99):
     """(lo, hi) multiplicative band on the Allan deviation around the analytic
     curve at the given confidence, from the estimator's effective dof."""
-    from scipy.stats import chi2
+    return _chi2_band(estimator_dof(model, dt, n_samples, taus), confidence)
 
-    nu = estimator_dof(model, dt, n_samples, taus)
+
+def _chi2_band(nu, confidence: float):
+    """(lo, hi) = sqrt(chi2.ppf(q, nu) / nu) at the two tails q of the
+    confidence: the band on a deviation estimated with nu degrees of freedom.
+    chi2.ppf(q, nu) is 2 gammaincinv(nu/2, q), as scipy.stats computes it,
+    so only scipy.special is loaded."""
+    from scipy.special import gammaincinv
+
     alpha = (1.0 - confidence) / 2.0
-    lo = np.sqrt(chi2.ppf(alpha, nu) / nu)
-    hi = np.sqrt(chi2.ppf(1.0 - alpha, nu) / nu)
-    return lo, hi
+    return tuple(np.sqrt(2 * gammaincinv(nu / 2, q) / nu) for q in (alpha, 1.0 - alpha))

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._io import write_csv
 from ._series import atrk_inflight_shape, xminus_em, xtrk_inflight_shape
-from .gyro import GyroErrorModel
+from .gyro import GyroErrorModel, _whole_steps
 from .units import NMI_KM
 
 __all__ = ["FlightProfile", "ErrorBudget", "fde_sigma", "budget_series_to_csv"]
@@ -58,11 +58,11 @@ class FlightProfile:
     @property
     def n_steps(self) -> int:
         """Steps of dt in the flight; dt must divide the duration."""
-        n = self.duration / self.dt
-        if round(n) < 1 or abs(n - round(n)) > 1e-9 * n:
+        n = _whole_steps(self.duration, self.dt)
+        if n is None:
             raise ValueError(f"dt={self.dt!r} h does not divide the flight "
                              f"duration {self.duration!r} h into whole steps")
-        return int(round(n))
+        return n
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ Configs are JSON with units attached to every physical value, e.g.::
       "seed": 42
     }
 
-Flags override file values.  Exit codes: 0 success, 1 requirement failure
-from ``check``, 2 bad input or I/O (one ``gyrofde: ...`` line on stderr).
+Flags override file values; a command takes the flags of the keys it reads
+and no others.  Exit codes: 0 success, 1 requirement failure from ``check``,
+2 bad input (argv errors included) or I/O (one ``gyrofde: ...`` line on
+stderr).
 """
 
 from __future__ import annotations
@@ -151,17 +153,18 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     return parse_config(doc, overrides)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
+class _Parser(argparse.ArgumentParser):
+    """An argv error is bad input like any other: one line from main, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise", metavar="'V UNIT'",
                    help="noise amplitude, e.g. '0.005 deg_per_sqrt_h'")
     p.add_argument("--drift", action="append", metavar="'K UNIT, Tc UNIT'",
                    help="drift process (repeatable; replaces the config list)")
-    p.add_argument("--v", help="speed, e.g. '900 km_per_h'")
-    p.add_argument("--duration", help="flight duration, e.g. '10 h'")
-    p.add_argument("--radius", help="sphere radius, e.g. '6371 km'")
-    p.add_argument("--dt", help="simulation step, e.g. '1 s'")
-    p.add_argument("--seed", type=int, help="master seed")
     on = p.add_mutually_exclusive_group()
     on.add_argument("--turn-on", dest="turn_on", action="store_true",
                     default=None, help="start drifts from their stationary state")
@@ -169,19 +172,40 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                     default=None, help="start drifts from zero")
 
 
+def _flight_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--v", help="speed, e.g. '900 km_per_h'")
+    p.add_argument("--radius", help="sphere radius, e.g. '6371 km'")
+
+
+def _sampling_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dt", help="simulation step, e.g. '1 s'")
+    p.add_argument("--seed", type=int, help="master seed")
+
+
+def _config_command(sub, name: str, help: str, *groups) -> argparse.ArgumentParser:
+    """A command that reads a config: --config, --duration and the flag
+    groups whose keys it reads, and no others."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--duration", help="flight duration, e.g. '10 h'")
+    for group in groups:
+        group(p)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gyrofde",
         description="Gyroscope noise/drift to position-error budgets and trade studies")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analytic", help="closed-form error budget over time")
-    _add_common(p)
+    p = _config_command(sub, "analytic", "closed-form error budget over time",
+                        _model_flags, _flight_flags)
     p.add_argument("--points", type=int, default=101, help="time samples")
     p.add_argument("--out", required=True, help="output CSV")
 
-    p = sub.add_parser("simulate", help="Monte-Carlo ensemble vs analytic curves")
-    _add_common(p)
+    p = _config_command(sub, "simulate", "Monte-Carlo ensemble vs analytic curves",
+                        _model_flags, _flight_flags, _sampling_flags)
     p.add_argument("--groups", type=int, default=10)
     p.add_argument("--flights", type=int, default=100)
     p.add_argument("--stat-stride", type=int, default=0,
@@ -191,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="ensemble CSV")
     p.add_argument("--report", help="comparison report JSON")
 
-    p = sub.add_parser("allan", help="analytic and/or empirical Allan curves")
-    _add_common(p)
+    p = _config_command(sub, "allan", "analytic and/or empirical Allan curves",
+                        _model_flags, _sampling_flags)
     p.add_argument("--trace", help="RateTrace CSV to estimate from")
     p.add_argument("--synthesize-trace", metavar="OUT",
                    help="write a synthesized RateTrace CSV for the config model")
@@ -208,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", help="Allan curve CSV to take the maximum from")
     p.add_argument("--out", help="output JSON (default stdout)")
 
-    p = sub.add_parser("grid", help="2-sigma FDE heat-map grid over (N, K)")
-    _add_common(p)
+    # grid and contour map the turn-on model of --tc over their ranges
+    p = _config_command(sub, "grid", "2-sigma FDE heat-map grid over (N, K)",
+                        _flight_flags)
     p.add_argument("--target", default="10 nmi", help="FDE ceiling (95%%)")
     p.add_argument("--tc", default="1 h", help="drift time constant")
     p.add_argument("--n-range", default="1e-4,1e-1,60",
@@ -218,15 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="K range deg_per_h_3_2: lo,hi,points (log-spaced)")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("contour", help="required-K contour across noise values")
-    _add_common(p)
+    p = _config_command(sub, "contour", "required-K contour across noise values",
+                        _flight_flags)
     p.add_argument("--target", default="10 nmi")
     p.add_argument("--tc", default="1 h")
     p.add_argument("--n-range", default="1e-4,1e-1,60")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("check", help="requirement compliance check (exit 1 on fail)")
-    _add_common(p)
+    p = _config_command(sub, "check", "requirement compliance check (exit 1 on fail)",
+                        _model_flags, _flight_flags)
     p.add_argument("--target", default="10 nmi")
     p.add_argument("--out", help="report JSON (default stdout)")
     return ap
@@ -411,8 +436,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # an input whose numbers overflow fails here, not as a warning and a
         # non-finite result
         with np.errstate(over="raise", divide="raise", invalid="raise"):

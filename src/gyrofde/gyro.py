@@ -27,6 +27,14 @@ __all__ = [
 ]
 
 
+def _whole_steps(span: float, dt: float) -> int | None:
+    """The count k >= 1 with span = k dt to 1e-9 relative, else None: the
+    one rule for the steps of a flight, a trace record and an Allan window."""
+    n = span / dt
+    k = round(n) if math.isfinite(n) else 0
+    return k if k >= 1 and abs(n - k) <= 1e-9 * n else None
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Angle-random-walk amplitude N, rad/sqrt(h)."""
@@ -178,13 +186,17 @@ def _rate_series(m: GyroErrorModel, n_steps: int, dt: float, seed,
 
 def synthesize_rate_trace(m: GyroErrorModel, duration: float, dt: float,
                           seed) -> RateTrace:
-    """Simulate a bench recording of the rate error (zero applied rotation).
+    """Simulate a bench recording of the rate error (zero applied rotation)
+    over ``duration``, which must be a whole number of steps dt.
 
     Keyed substreams per process make the trace bit-reproducible for a given
     seed and unaffected by evaluation order.
     """
     if dt <= 0.0 or duration < dt:
         raise ValueError(f"need duration >= dt > 0, got duration={duration}, dt={dt}")
-    n = int(round(duration / dt))
+    n = _whole_steps(duration, dt)
+    if n is None:
+        raise ValueError(f"dt={dt!r} h does not divide the trace duration "
+                         f"{duration!r} h into whole steps")
     return RateTrace(dt=dt, samples=_rate_series(m, n, dt, seed),
                      duration=n * dt)

@@ -10,13 +10,13 @@ independent of execution order and worker count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from ._io import write_csv, write_json
+from .allan import _chi2_band
 from .budget import FlightProfile, fde_sigma
 from .gyro import GyroErrorModel, _rate_series
 
@@ -197,12 +197,7 @@ def compare_to_analytic(stats: EnsembleStats, m: GyroErrorModel,
     n_flights Gaussian draws (about +-14% at n=100, 95%)."""
     if m != stats.model or p != stats.profile:
         raise ValueError("stats were produced from a different model/profile")
-    from scipy.stats import chi2
-
-    nu = stats.n_flights - 1
-    alpha = (1.0 - confidence) / 2.0
-    lo = math.sqrt(chi2.ppf(alpha, nu) / nu)
-    hi = math.sqrt(chi2.ppf(1.0 - alpha, nu) / nu)
+    lo, hi = map(float, _chi2_band(stats.n_flights - 1, confidence))
 
     b = fde_sigma(m, p, stats.times)
     ana = np.array([b.sigma_atrk, b.sigma_xtrk])

@@ -215,6 +215,17 @@ class TestEstimatorBand:
         nu = estimator_dof(FIG3, SEC, 20_000, np.array([2, 20, 200, 2000]) * SEC)
         assert np.all(np.diff(nu) < 0)
 
+    @pytest.mark.parametrize("confidence", [0.999, 0.99, 0.95])
+    def test_chi2_band_is_scipy_stats_bit_for_bit(self, confidence):
+        from scipy.stats import chi2
+        nu = np.concatenate([np.arange(1.0, 2000.0), np.geomspace(1.0, 1e6, 500)])
+        tails = ((1.0 - confidence) / 2.0, (1.0 + confidence) / 2.0)
+        for got, q in zip(allan._chi2_band(nu, confidence), tails):
+            np.testing.assert_array_equal(got, np.sqrt(chi2.ppf(q, nu) / nu))
+        # an int dof, as compare_to_analytic passes it
+        for got, q in zip(allan._chi2_band(99, confidence), tails):
+            assert got == math.sqrt(chi2.ppf(q, 99) / 99)
+
     def test_synthesized_trace_inside_99_band(self):
         # fixed seed; ~90% of seeds pass this 99%-band containment check
         m = GyroErrorModel.from_deg(5e-4, ((0.3, 0.02),))

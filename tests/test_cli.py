@@ -289,6 +289,23 @@ def _write_trace(path, rows):
     return str(path)
 
 
+# Each flag a command does not take, as (command, flag, value): the command
+# never read its key, so the flag is unknown to it.  Without the flag each
+# argv runs, writing to its command's output flag.
+_OUT_FLAG = {"allan": "--analytic-out"}
+_FLAG_VALUE = {"--dt": ["1 s"], "--seed": ["1"], "--v": ["900 km_per_h"],
+               "--radius": ["6371 km"], "--noise": ["0.005 deg_per_sqrt_h"],
+               "--drift": ["0.01 deg_per_h_3_2, 1 h"]}
+REMOVED_FLAGS = {
+    f"{command}-takes-no-{flag[2:]}": (command, flag, *_FLAG_VALUE.get(flag, []))
+    for command, flags in (
+        ("analytic", ("--dt", "--seed")), ("check", ("--dt", "--seed")),
+        ("allan", ("--v", "--radius")),
+        *((command, ("--noise", "--drift", "--turn-on", "--no-turn-on", "--dt",
+                     "--seed")) for command in ("grid", "contour")))
+    for flag in flags}
+
+
 def _bad_input_cases(tmp_path):
     short = _write_trace(tmp_path / "short.csv",
                          [(i / 3600, 0.01) for i in range(1, 4)])
@@ -312,6 +329,15 @@ def _bad_input_cases(tmp_path):
                               [(1 / 3600, 0.01), (2 / 3600, 0.03), (3 / 3600, 0.02)])
     out = str(tmp_path / "out.csv")
     return {
+        **{case: [command, *flag, _OUT_FLAG.get(command, "--out"), out]
+           for case, (command, *flag) in REMOVED_FLAGS.items()},
+        "analytic-points-not-int": ["analytic", "--points", "x", "--out", out],
+        "analytic-unknown-flag": ["analytic", "--bogus", "--out", out],
+        "analytic-no-out": ["analytic", "--points", "3"],
+        "check-turn-on-and-no-turn-on": ["check", "--turn-on", "--no-turn-on",
+                                         "--out", out],
+        "allan-trace-duration-not-whole-steps": ["allan", "--synthesize-trace", out,
+                                                 "--trace-duration", "10.6 s"],
         "simulate-groups-0": ["simulate", "--groups", "0", "--out", out],
         "simulate-groups-1e15": ["simulate", "--groups", str(10 ** 15), "--out", out],
         "simulate-flights-1": ["simulate", "--flights", "1", "--out", out],
@@ -349,13 +375,33 @@ def _bad_input_cases(tmp_path):
     "analytic-points-2**63", "grid-points-1e15", "contour-points-2**63",
     "seed-true", "fit-allan-one-row",
     "fit-allan-bad-number", "fit-allan-nan-sigma", "fit-allan-rate-trace",
-    "fit-allan-unordered-taus", "fit-allan-negative-tau"])
+    "fit-allan-unordered-taus", "fit-allan-negative-tau", "analytic-points-not-int",
+    "analytic-unknown-flag", "analytic-no-out", "check-turn-on-and-no-turn-on",
+    "allan-trace-duration-not-whole-steps", *REMOVED_FLAGS])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     argv = _bad_input_cases(tmp_path)[case]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("gyrofde: error: ")
+    if case in REMOVED_FLAGS:
+        assert f"unrecognized arguments: {REMOVED_FLAGS[case][1]}" in err[0]
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("case", list(REMOVED_FLAGS))
+def test_argv_runs_without_the_flag_its_command_does_not_take(tmp_path, capsys, case):
+    command, flag, *value = REMOVED_FLAGS[case]
+    argv = [command, _OUT_FLAG.get(command, "--out"), str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert main(argv + [flag, *value]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["grid", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gyrofde")
 
 
 def test_stat_stride_past_the_last_step_records_the_last_step(tmp_path, monkeypatch):
@@ -488,7 +534,9 @@ def test_zero_drift_with_huge_Tc_leaves_the_analytic_allan_curve(tmp_path, monke
 
 def test_closed_form_commands_load_no_scipy(tmp_path):
     """import gyrofde.cli and every command that needs no sampling or dof
-    band stays clear of scipy (its import dominates a cold start)."""
+    band stays clear of scipy (its import dominates a cold start).  The
+    report's chi-square band needs scipy.special, not scipy.stats: a
+    noise-only simulate, which runs no drift recursion, loads no scipy.stats."""
     argvs = [
         ["check", "--noise", "0.005 deg_per_sqrt_h",
          "--drift", "0.01 deg_per_h_3_2, 1 h"],
@@ -509,7 +557,12 @@ def test_closed_form_commands_load_no_scipy(tmp_path):
         "assert not scipy_modules(), scipy_modules()\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert main(argv) == 0, argv\n"
-        "    assert not scipy_modules(), (argv, scipy_modules())\n")
+        "    assert not scipy_modules(), (argv, scipy_modules())\n"
+        "assert main(['simulate', '--noise', '0.005 deg_per_sqrt_h', '--duration',\n"
+        "             '0.01 h', '--groups', '2', '--flights', '3', '--out', 's.csv',\n"
+        "             '--report', 'r.json']) == 0\n"
+        "stats = [k for k in scipy_modules() if k.startswith('scipy.stats')]\n"
+        "assert not stats, stats\n")
     src = str(pathlib.Path(gyrofde.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

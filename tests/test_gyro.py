@@ -158,6 +158,9 @@ class TestSynthesizeRateTrace:
             synthesize_rate_trace(m, 0.0, SEC, seed=0)
         with pytest.raises(ValueError):
             synthesize_rate_trace(m, 1.0, -SEC, seed=0)
+        # 10.6 steps: a record takes a whole number of steps, as a flight does
+        with pytest.raises(ValueError, match="whole steps"):
+            synthesize_rate_trace(m, 10.6 * SEC, SEC, seed=0)
 
 
 def _state_matrix(d, n_chains, n_steps, dt, turn_on, seed):

@@ -168,20 +168,17 @@ STEP = _mostly(st.sampled_from(["1 s", "0.5 s", "36 s"]),
                st.sampled_from(["1 h", "0 s", "-1 s", "1e-300 s", "1e300 h"]))
 
 
-def _common(sampled):
-    """The flags every config-reading command takes; a sampling command gets
-    its --duration as a required flag."""
-    drift = _mostly(st.builds("{}, {}".format, _flag_value("deg_per_h_3_2"),
-                              _flag_value("h", "s")),
-                    _flag_value("h"))
-    flags = {"--noise": _flag_value("deg_per_sqrt_h"),
-             "--drift": st.lists(drift, min_size=1, max_size=3),
-             "--v": _flag_value("km_per_h"), "--radius": _flag_value("km"),
-             "--dt": STEP if sampled else _flag_value("h", "s"),
-             "--seed": counts, "--turn-on": st.none(), "--no-turn-on": st.none()}
-    if not sampled:
-        flags["--duration"] = _flag_value("h", "s")
-    return flags
+# The flag groups, each given only to the commands that read its keys.  A
+# sampling command (simulate, allan) takes --duration as a required flag.
+_drift = _mostly(st.builds("{}, {}".format, _flag_value("deg_per_h_3_2"),
+                           _flag_value("h", "s")),
+                 _flag_value("h"))
+MODEL = {"--noise": _flag_value("deg_per_sqrt_h"),
+         "--drift": st.lists(_drift, min_size=1, max_size=3),
+         "--turn-on": st.none(), "--no-turn-on": st.none()}
+FLIGHT = {"--v": _flag_value("km_per_h"), "--radius": _flag_value("km")}
+SAMPLING = {"--dt": STEP, "--seed": counts}
+DURATION = {"--duration": _flag_value("h", "s")}
 
 
 def _range():
@@ -192,37 +189,37 @@ def _range():
 TARGET = {"--target": _flag_value("nmi", "km")}
 TC = {"--tc": _flag_value("h", "s")}
 ARGV_CASES = {  # command: (required flags, optional flags, files it may write)
-    "analytic": ({"--out": st.just("o")}, {**_common(False), "--points": counts}, ["o"]),
+    "analytic": ({"--out": st.just("o")},
+                 {**MODEL, **FLIGHT, **DURATION, "--points": counts}, ["o"]),
     "simulate": ({"--out": st.just("o"), "--duration": SHORT, "--groups": few,
                   "--flights": few},
-                 {**_common(True), "--stat-stride": counts,
+                 {**MODEL, **FLIGHT, **SAMPLING, "--stat-stride": counts,
                   "--workers": few.filter(lambda n: n <= 2), "--report": st.just("r")},
                  ["o", "r"]),
     "allan": ({"--duration": SHORT, "--trace-duration": SHORT,
                "--analytic-out": st.just("a")},
-              {**_common(True), "--synthesize-trace": st.just("t"),
+              {**MODEL, **SAMPLING, "--synthesize-trace": st.just("t"),
                "--empirical-out": st.just("e"), "--landmarks-out": st.just("l")},
               ["t", "a", "e", "l"]),
     "fit-allan": ({}, {"--tau-max": _flag_value("s", "h"),
                        "--sigma-max": _flag_value("deg_per_h"), "--out": st.just("o")},
                   ["o"]),
     "grid": ({"--out": st.just("o")},
-             {**_common(False), **TARGET, **TC, "--n-range": _range(),
+             {**FLIGHT, **DURATION, **TARGET, **TC, "--n-range": _range(),
               "--k-range": _range()}, ["o"]),
     "contour": ({"--out": st.just("o")},
-                {**_common(False), **TARGET, **TC, "--n-range": _range()}, ["o"]),
-    "check": ({}, {**_common(False), **TARGET, "--out": st.just("o")}, ["o"]),
+                {**FLIGHT, **DURATION, **TARGET, **TC, "--n-range": _range()}, ["o"]),
+    "check": ({}, {**MODEL, **FLIGHT, **DURATION, **TARGET, "--out": st.just("o")}, ["o"]),
 }
 
 
 @settings(FUZZ, max_examples=300)
 @given(data=st.data(), command=st.sampled_from(sorted(ARGV_CASES)))
 def test_random_argv(data, command):
-    """Random flags for every command, each as ``--flag=value``."""
+    """Random flags of each command's own groups, each as ``--flag=value``;
+    --turn-on with --no-turn-on is an argv error like any other."""
     required, optional, outputs = ARGV_CASES[command]
     flags = data.draw(st.fixed_dictionaries(required, optional=optional))
-    if "--turn-on" in flags and "--no-turn-on" in flags:  # exclusive in argparse
-        del flags["--no-turn-on"]
     with tempfile.TemporaryDirectory() as d:
         tmp = pathlib.Path(d)
         argv = [command]
