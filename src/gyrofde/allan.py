@@ -43,11 +43,10 @@ SIGMA_MAX_OVER_K_SQRT_TC = 0.437
 
 @dataclass
 class AllanCurve:
-    """(tau, sigma) samples in h and rad/h; source is 'analytic' or 'empirical'."""
+    """(tau, sigma) samples in h and rad/h."""
 
     taus: np.ndarray
     sigmas: np.ndarray
-    source: str
 
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=float)
@@ -57,8 +56,6 @@ class AllanCurve:
             raise ValueError("taus must be finite, > 0 and strictly increasing")
         if not np.all(np.isfinite(self.sigmas) & (self.sigmas >= 0)):
             raise ValueError("sigmas must be finite and >= 0")
-        if self.source not in ("analytic", "empirical"):
-            raise ValueError(f"bad source {self.source!r}")
 
     def to_csv(self, path) -> None:
         """Header ``tau_s,sigma_deg_per_h``."""
@@ -67,60 +64,31 @@ class AllanCurve:
 
     @classmethod
     def from_csv(cls, path) -> "AllanCurve":
-        """Read a ``to_csv`` curve; a file does not say its source, so the
-        curve is taken as 'empirical'."""
+        """Read a ``to_csv`` curve."""
         tau_s, sigma = read_csv(path, ("tau_s", "sigma_deg_per_h"))
         try:
-            return cls(tau_s / HOUR_S, sigma * DEG, "empirical")
+            return cls(tau_s / HOUR_S, sigma * DEG)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
 
 
 @dataclass
 class AllanLandmarks:
-    """Numerically located extrema of the analytic curve, plus the closed-form
-    approximations sqrt(3) N/K, 1.074 sqrt(NK), 1.89 Tc, 0.437 K sqrt(Tc).
+    """Numerically located extrema of the analytic curve.
 
     A landmark that does not exist as an interior extremum (e.g. drift buried
-    under the noise floor) is None; the numeric values are authoritative, the
-    closed forms advisory.
+    under the noise floor) is None.
     """
 
     tau_min: float | None
     sigma_min: float | None
     tau_max: float | None
     sigma_max: float | None
-    tau_min_approx: float
-    sigma_min_approx: float
-    tau_max_approx: float
-    sigma_max_approx: float
 
     def __post_init__(self):
         if self.tau_min is not None and self.tau_max is not None:
             if not self.tau_min < self.tau_max:
                 raise ValueError("tau_min must precede tau_max")
-
-    def report(self, identified: DriftSpec | None = None) -> dict:
-        """JSON-ready landmark report (seconds / deg units)."""
-        def _s(tau):
-            return None if tau is None else tau * HOUR_S
-
-        def _d(sig):
-            return None if sig is None else sig / DEG
-
-        rep = {
-            "tau_min_s": _s(self.tau_min),
-            "sigma_min_deg_per_h": _d(self.sigma_min),
-            "tau_max_s": _s(self.tau_max),
-            "sigma_max_deg_per_h": _d(self.sigma_max),
-        }
-        if identified is not None:
-            rep["K_deg_per_h32"] = identified.K / DEG
-            rep["Tc_h"] = identified.Tc
-        else:
-            rep["K_deg_per_h32"] = None
-            rep["Tc_h"] = None
-        return rep
 
 
 def allan_variance_analytic(m: GyroErrorModel, tau) -> np.ndarray | float:
@@ -139,13 +107,13 @@ def allan_variance_analytic(m: GyroErrorModel, tau) -> np.ndarray | float:
     return (m.noise.N ** 2 / tau + drift / (tau * tau))[()]
 
 
-def default_tau_grid(dt: float, duration: float,
-                     points_per_decade: int = 10) -> np.ndarray:
-    """Log-spaced taus from 2 dt to duration/5, quantized to multiples of dt."""
+def default_tau_grid(dt: float, duration: float) -> np.ndarray:
+    """Log-spaced taus from 2 dt to duration/5, 10 per decade, quantized to
+    multiples of dt."""
     lo, hi = 2.0 * dt, duration / 5.0
     if hi < lo:
         raise ValueError("record too short for any tau")
-    n = max(2, int(round(points_per_decade * math.log10(hi / lo))) + 1)
+    n = max(2, int(round(10 * math.log10(hi / lo))) + 1)
     taus = np.geomspace(lo, hi, n)
     mult = np.unique(np.round(taus / dt).astype(int))
     return mult[mult >= 1] * dt
@@ -181,7 +149,7 @@ def allan_variance_empirical(trace: RateTrace, taus) -> AllanCurve:
              + theta[: n - 2 * m_int + 1])
         avar = np.mean(d * d) / (2.0 * (m_int * trace.dt) ** 2)
         sigmas[j] = math.sqrt(avar)
-    return AllanCurve(taus=taus, sigmas=sigmas, source="empirical")
+    return AllanCurve(taus=taus, sigmas=sigmas)
 
 
 def _golden_log_extremum(f, lo: float, mid: float, hi: float) -> float:
@@ -228,11 +196,9 @@ def allan_landmarks_analytic(m: GyroErrorModel) -> AllanLandmarks:
     if N <= 0 or K <= 0:
         raise ValueError("landmarks require N > 0 and K > 0")
 
+    # the closed forms sqrt(3) N/K and 1.89 Tc bracket the search
     tau_min_cf = math.sqrt(3.0) * N / K
-    sigma_min_cf = math.sqrt(2.0 / math.sqrt(3.0)) * math.sqrt(N * K)
     tau_max_cf = TAU_MAX_OVER_TC * Tc
-    sigma_max_cf = SIGMA_MAX_OVER_K_SQRT_TC * K * math.sqrt(Tc)
-
     lo = min(tau_min_cf, Tc) / 1e3
     hi = max(tau_max_cf, tau_min_cf) * 1e3
     grid = np.geomspace(lo, hi, max(200, int(60 * math.log10(hi / lo))))
@@ -253,8 +219,7 @@ def allan_landmarks_analytic(m: GyroErrorModel) -> AllanLandmarks:
                                        grid[i - 1], grid[i], grid[i + 1])
         sigma_max = math.sqrt(allan_variance_analytic(m, tau_max))
 
-    return AllanLandmarks(tau_min, sigma_min, tau_max, sigma_max,
-                          tau_min_cf, sigma_min_cf, tau_max_cf, sigma_max_cf)
+    return AllanLandmarks(tau_min, sigma_min, tau_max, sigma_max)
 
 
 def identify_from_max(tau_max: float, sigma_max: float) -> DriftSpec:
@@ -269,7 +234,23 @@ def identify_from_max(tau_max: float, sigma_max: float) -> DriftSpec:
 
 def landmarks_to_json(path, lm: AllanLandmarks,
                       identified: DriftSpec | None = None) -> None:
-    write_json(path, lm.report(identified))
+    """The landmarks in s and deg/h, and the (K, Tc) identified from the
+    maximum, or None for each missing value."""
+    def seconds(tau):
+        return None if tau is None else tau * HOUR_S
+
+    def deg(x):
+        return None if x is None else x / DEG
+
+    K, Tc = (None, None) if identified is None else (identified.K, identified.Tc)
+    write_json(path, {
+        "tau_min_s": seconds(lm.tau_min),
+        "sigma_min_deg_per_h": deg(lm.sigma_min),
+        "tau_max_s": seconds(lm.tau_max),
+        "sigma_max_deg_per_h": deg(lm.sigma_max),
+        "K_deg_per_h32": deg(K),
+        "Tc_h": Tc,
+    })
 
 
 # --------------------------------------------------------------------------

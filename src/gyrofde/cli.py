@@ -335,10 +335,9 @@ def _cmd_allan(args) -> int:
         writes.append((trace.to_csv, args.synthesize_trace))
     if args.analytic_out:
         dt, dur = cfg.flight.dt, cfg.flight.duration
-        taus = allan_mod.default_tau_grid(dt, dur) * 1.0
+        taus = allan_mod.default_tau_grid(dt, dur)
         curve = allan_mod.AllanCurve(
-            taus=taus, sigmas=np.sqrt(allan_mod.allan_variance_analytic(cfg.model, taus)),
-            source="analytic")
+            taus=taus, sigmas=np.sqrt(allan_mod.allan_variance_analytic(cfg.model, taus)))
         writes.append((curve.to_csv, args.analytic_out))
     if args.empirical_out:
         taus = allan_mod.default_tau_grid(trace.dt, trace.duration)

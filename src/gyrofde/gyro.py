@@ -88,18 +88,18 @@ class GyroErrorModel:
 
 @dataclass
 class RateTrace:
-    """Bench-test rate-error record: n samples at step dt covering `duration`."""
+    """Bench-test rate-error record: n samples at step dt."""
 
     dt: float
     samples: np.ndarray
-    duration: float
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        n = len(self.samples)
-        if abs(n * self.dt - self.duration) > 1.5 * self.dt:
-            raise ValueError(
-                f"{n} samples x dt={self.dt} != duration={self.duration}")
+
+    @property
+    def duration(self) -> float:
+        """The span n dt the record covers, h."""
+        return len(self.samples) * self.dt
 
     def to_csv(self, path) -> None:
         """Header ``t_h,rate_deg_per_h``; timestamps at interval ends."""
@@ -123,7 +123,7 @@ class RateTrace:
             if bad.any():
                 i = int(np.argmax(bad))
                 raise ValueError(f"{path}:{i + 2}: {what}: {t[i]},{rates[i]}")
-        return cls(dt=dt, samples=rates * DEG, duration=len(rates) * dt)
+        return cls(dt=dt, samples=rates * DEG)
 
 
 def substream(seed, *key: int) -> np.random.Generator:
@@ -198,5 +198,4 @@ def synthesize_rate_trace(m: GyroErrorModel, duration: float, dt: float,
     if n is None:
         raise ValueError(f"dt={dt!r} h does not divide the trace duration "
                          f"{duration!r} h into whole steps")
-    return RateTrace(dt=dt, samples=_rate_series(m, n, dt, seed),
-                     duration=n * dt)
+    return RateTrace(dt=dt, samples=_rate_series(m, n, dt, seed))

@@ -36,9 +36,13 @@ class EnsembleStats:
     pooled_std_atrk: np.ndarray  # (n_times,), all groups pooled
     pooled_std_xtrk: np.ndarray
     n_flights: int
-    n_groups: int
     model: GyroErrorModel
     profile: FlightProfile
+
+    @property
+    def n_groups(self) -> int:
+        """The number of groups, the rows of std_atrk."""
+        return self.std_atrk.shape[0]
 
     def to_csv(self, path) -> None:
         """Header ``t_h,group,std_atrk_km,std_xtrk_km``, group-major."""
@@ -78,7 +82,7 @@ def _group_accumulators(args):
             v = err[idx]
             s[ax] += v
             ss[ax] += v * v
-    return g, s, ss
+    return s, ss
 
 
 def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
@@ -121,12 +125,11 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
             results = list(pool.map(_group_accumulators, jobs))
     else:
         results = [_group_accumulators(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
 
     nf = float(n_flights)
     tot_s = np.zeros((2, len(idx)))
     tot_ss = np.zeros((2, len(idx)))
-    for g, s, ss in results:
+    for g, (s, ss) in enumerate(results):
         var = np.maximum(ss - s * s / nf, 0.0) / (nf - 1.0)
         std[:, g, :] = np.sqrt(var)
         tot_s += s
@@ -137,8 +140,7 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
 
     return EnsembleStats(times=times, std_atrk=std[0], std_xtrk=std[1],
                          pooled_std_atrk=pooled[0], pooled_std_xtrk=pooled[1],
-                         n_flights=n_flights, n_groups=n_groups,
-                         model=m, profile=p)
+                         n_flights=n_flights, model=m, profile=p)
 
 
 @dataclass

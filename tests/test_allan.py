@@ -74,7 +74,7 @@ class TestAnalytic:
 
 class TestEmpirical:
     def test_constant_trace_gives_zero(self):
-        trace = RateTrace(dt=SEC, samples=np.full(2000, 0.7), duration=2000 * SEC)
+        trace = RateTrace(dt=SEC, samples=np.full(2000, 0.7))
         curve = allan_variance_empirical(trace, [10 * SEC, 100 * SEC])
         # zero up to the rounding of the sample mean (values ~1e-31)
         np.testing.assert_allclose(curve.sigmas, 0.0, atol=1e-20)
@@ -83,7 +83,7 @@ class TestEmpirical:
         # rate r*t: consecutive window means differ by exactly r*tau
         r, dt, n = 0.5, SEC, 5000
         samples = r * np.arange(n) * dt
-        trace = RateTrace(dt=dt, samples=samples, duration=n * dt)
+        trace = RateTrace(dt=dt, samples=samples)
         taus = np.array([10, 100, 500]) * SEC
         curve = allan_variance_empirical(trace, taus)
         np.testing.assert_allclose(curve.sigmas, r * taus / math.sqrt(2), rtol=1e-9)
@@ -104,7 +104,7 @@ class TestEmpirical:
         assert np.all(np.abs(curve.sigmas - analytic) < tol)
 
     def test_rejects_bad_taus(self):
-        trace = RateTrace(dt=SEC, samples=np.zeros(100), duration=100 * SEC)
+        trace = RateTrace(dt=SEC, samples=np.zeros(100))
         with pytest.raises(ValueError, match="multiple"):
             allan_variance_empirical(trace, [1.5 * SEC])
         with pytest.raises(ValueError, match="large"):
@@ -115,7 +115,9 @@ class TestLandmarks:
     def test_reference_model_minimum(self):
         lm = allan_landmarks_analytic(FIG3)
         assert lm.sigma_min / DEG == pytest.approx(4.1e-3, rel=0.03)
-        assert lm.sigma_min == pytest.approx(lm.sigma_min_approx, rel=0.01)
+        d = FIG3.drifts[0]
+        sigma_min_cf = math.sqrt(2 / math.sqrt(3)) * math.sqrt(FIG3.noise.N * d.K)
+        assert lm.sigma_min == pytest.approx(sigma_min_cf, rel=0.01)
 
     def test_reference_model_maximum(self):
         lm = allan_landmarks_analytic(FIG3)
@@ -251,12 +253,10 @@ def test_default_tau_grid_properties():
 
 def test_curve_validation_and_csv(tmp_path):
     with pytest.raises(ValueError):
-        AllanCurve(taus=[2.0, 1.0], sigmas=[1.0, 1.0], source="analytic")
-    with pytest.raises(ValueError):
-        AllanCurve(taus=[1.0, 2.0], sigmas=[1.0, 1.0], source="guess")
+        AllanCurve(taus=[2.0, 1.0], sigmas=[1.0, 1.0])
     with pytest.raises(ValueError, match="sigmas"):
-        AllanCurve(taus=[1.0, 2.0], sigmas=[1.0, np.nan], source="empirical")
-    curve = AllanCurve(taus=[1.0, 2.0], sigmas=[0.5, 0.25], source="analytic")
+        AllanCurve(taus=[1.0, 2.0], sigmas=[1.0, np.nan])
+    curve = AllanCurve(taus=[1.0, 2.0], sigmas=[0.5, 0.25])
     path = tmp_path / "curve.csv"
     curve.to_csv(path)
     lines = path.read_text().splitlines()
@@ -267,23 +267,22 @@ def test_curve_validation_and_csv(tmp_path):
 def test_curve_rejects_nonpositive_tau_and_infinite_sigma():
     for taus in ([0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0]):
         with pytest.raises(ValueError, match="taus"):
-            AllanCurve(taus=taus, sigmas=[1.0, 1.0], source="empirical")
+            AllanCurve(taus=taus, sigmas=[1.0, 1.0])
     with pytest.raises(ValueError, match="sigmas"):
-        AllanCurve(taus=[1.0, 2.0], sigmas=[1.0, np.inf], source="empirical")
+        AllanCurve(taus=[1.0, 2.0], sigmas=[1.0, np.inf])
 
 
 def test_curve_rejects_infinite_tau():
     with pytest.raises(ValueError, match="taus"):
-        AllanCurve(taus=[1.0, np.inf], sigmas=[1.0, 1.0], source="empirical")
+        AllanCurve(taus=[1.0, np.inf], sigmas=[1.0, 1.0])
 
 
 def test_curve_from_csv_is_exact_on_what_to_csv_wrote(tmp_path):
     taus = default_tau_grid(SEC, 24.0)
     path = tmp_path / "curve.csv"
-    AllanCurve(taus, np.sqrt(allan_variance_analytic(FIG3, taus)), "analytic").to_csv(path)
+    AllanCurve(taus, np.sqrt(allan_variance_analytic(FIG3, taus))).to_csv(path)
     cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
     back = AllanCurve.from_csv(path)
-    assert back.source == "empirical"
     assert np.array_equal(back.taus, [float(tau) / 3600 for tau, _ in cells])
     assert np.array_equal(back.sigmas, [float(sigma) * DEG for _, sigma in cells])
 
@@ -293,9 +292,10 @@ def test_curve_from_csv_is_exact_on_what_to_csv_wrote(tmp_path):
     ("10,0.1\n# comment\n30,0.1\n", "curve.csv:3: expected two numbers"),
     ("10,0.1\n\n30,0.1\n", "curve.csv:3: expected two numbers, got ''"),
     ("10,0.1,1\n", "curve.csv:2: expected two numbers"),
+    ('10,"0.1"\n', "curve.csv:2: expected two numbers"),
     ("", "curve.csv: no rows after the header"),
     ("20,0.1\n10,0.1\n", "curve.csv: taus must be finite, > 0 and strictly increasing"),
-], ids=["bad-cell", "comment-line", "blank-line", "three-cells", "no-rows",
+], ids=["bad-cell", "comment-line", "blank-line", "three-cells", "quoted-cell", "no-rows",
         "unordered-taus"])
 def test_curve_from_csv_names_the_bad_line(tmp_path, body, match):
     path = tmp_path / "curve.csv"
@@ -457,7 +457,7 @@ def test_dof_rejects_a_tau_that_is_no_multiple_of_dt():
         estimator_dof(FIG3, SEC, 1000, [1.5 * SEC])
     with pytest.raises(ValueError, match=message):
         confidence_band(FIG3, SEC, 1000, [2 * SEC, 1.5 * SEC])
-    trace = RateTrace(dt=SEC, samples=np.zeros(1000), duration=1000 * SEC)
+    trace = RateTrace(dt=SEC, samples=np.zeros(1000))
     with pytest.raises(ValueError, match=message):
         allan_variance_empirical(trace, [1.5 * SEC])
 

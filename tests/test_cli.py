@@ -327,6 +327,11 @@ def _bad_input_cases(tmp_path):
         curves[name].write_text("tau_s,sigma_deg_per_h\n" + body)
     rate_trace = _write_trace(tmp_path / "rate_trace.csv",
                               [(1 / 3600, 0.01), (2 / 3600, 0.03), (3 / 3600, 0.02)])
+    # a field longer than the csv module's limit of 131,072 characters
+    long_trace = _write_trace(tmp_path / "long_trace.csv",
+                              [(1 / 3600, 0.01), (2 / 3600, "x" * 200_000)])
+    long_curve = tmp_path / "long_curve.csv"
+    long_curve.write_text(f"tau_s,sigma_deg_per_h\n10,0.1\n20,{'x' * 200_000}\n")
     out = str(tmp_path / "out.csv")
     return {
         **{case: [command, *flag, _OUT_FLAG.get(command, "--out"), out]
@@ -364,6 +369,8 @@ def _bad_input_cases(tmp_path):
                                      str(curves["unordered-taus"]), "--out", out],
         "fit-allan-negative-tau": ["fit-allan", "--curve", str(curves["negative-tau"]),
                                    "--out", out],
+        "allan-trace-long-field": ["allan", "--trace", long_trace, "--empirical-out", out],
+        "fit-allan-long-field": ["fit-allan", "--curve", str(long_curve), "--out", out],
     }
 
 
@@ -377,7 +384,8 @@ def _bad_input_cases(tmp_path):
     "fit-allan-bad-number", "fit-allan-nan-sigma", "fit-allan-rate-trace",
     "fit-allan-unordered-taus", "fit-allan-negative-tau", "analytic-points-not-int",
     "analytic-unknown-flag", "analytic-no-out", "check-turn-on-and-no-turn-on",
-    "allan-trace-duration-not-whole-steps", *REMOVED_FLAGS])
+    "allan-trace-duration-not-whole-steps", "allan-trace-long-field",
+    "fit-allan-long-field", *REMOVED_FLAGS])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     argv = _bad_input_cases(tmp_path)[case]
     assert main(argv) == 2

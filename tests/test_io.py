@@ -52,7 +52,7 @@ def _ensemble():
 
 def _allan():
     taus = default_tau_grid(SEC, 10.0)
-    curve = AllanCurve(taus, np.sqrt(allan_variance_analytic(NAV, taus)), "analytic")
+    curve = AllanCurve(taus, np.sqrt(allan_variance_analytic(NAV, taus)))
     rows = [[_g(tau * HOUR_S), _g(s / DEG)] for tau, s in zip(curve.taus, curve.sigmas)]
     return curve.to_csv, ["tau_s", "sigma_deg_per_h"], rows
 

@@ -131,7 +131,7 @@ class TestCompareToAnalytic:
                               std_atrk=np.tile(ana[0], (3, 1)),
                               std_xtrk=np.tile(ana[1], (3, 1)),
                               pooled_std_atrk=ana[0], pooled_std_xtrk=ana[1],
-                              n_flights=100, n_groups=3, model=m, profile=p)
+                              n_flights=100, model=m, profile=p)
         rep = compare_to_analytic(stats, m, p)
         np.testing.assert_allclose(rep.rel_dev_atrk, 0.0, atol=1e-15)
         np.testing.assert_allclose(rep.rel_dev_xtrk, 0.0, atol=1e-15)
