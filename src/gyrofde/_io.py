@@ -92,9 +92,9 @@ def _scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = 16 - E
     k0 = int(k.min())
     used = np.flatnonzero(np.bincount(k - k0))
-    powers = np.zeros((4, used[-1] + 1))
-    powers[:, used] = np.transpose([_pow10(k0 + int(j)) for j in used])
-    hi, hi_hi, hi_lo, lo = powers[:, k - k0]
+    powers = np.zeros((used[-1] + 1, 4))
+    powers[used] = [_pow10(k0 + int(j)) for j in used]
+    hi, hi_hi, hi_lo, lo = powers.take(k - k0, axis=0).T
     # ax * hi = p + e exactly (Dekker's two-product, no FMA), then + ax * lo
     p = ax * hi
     t = _SPLIT * ax
@@ -123,7 +123,7 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g = [top // 10 ** 4 % 10 ** 4, top % 10 ** 4, low // 10 ** 4, low % 10 ** 4]
     n = np.ones(len(x), np.int8)  # significant digits
     for w, gw in enumerate(g):
-        np.maximum(n, last[w, gw], out=n)
+        np.maximum(n, last[w].take(gw), out=n)
 
     fixed = (E >= -4) & (E < 17)
     lead = np.where(fixed, E + 1, 1)  # digits before the dot
@@ -132,10 +132,10 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     small = np.where(fixed & (E < 0), -E, 0)
 
     cells = np.empty((len(x), _WORDS), np.uint64)
-    cells[:, 0] = prefix[np.where(exact, 5 * (x < 0) + small, _PYTHON)]
+    cells[:, 0] = prefix.take(np.where(exact, 5 * (x < 0) + small, _PYTHON))
     for w, gw in enumerate(g):
-        cells[:, 1 + w] = groups[gw] & masks[w, keep]
-    cells[:, 5] = exps[np.where(exact & ~fixed, E - _E_MIN + 1, 0)]
+        cells[:, 1 + w] = groups.take(gw) & masks[w].take(keep)
+    cells[:, 5] = exps.take(np.where(exact & ~fixed, E - _E_MIN + 1, 0))
     text = cells.view(np.uint8)
     text[:, 6] = np.where(exact, top // 10 ** 8 + ord("0"), 0)
     at = np.flatnonzero(dot)
@@ -183,7 +183,8 @@ def read_csv(path, header) -> tuple[np.ndarray, np.ndarray]:
 
     A row is two unquoted cells, each parsed with ``float``, so a ``write_csv``
     float reads back bit for bit.  A bad row, a comment or blank line
-    included, raises ``{path}:{line}: expected two numbers, got '...'``.
+    included, raises ``{path}:{line}: expected two numbers, got '...'``,
+    showing the row's first 80 characters.
     """
     with open(path, "rb") as fh:
         head, *body = fh.read().splitlines() or [b""]
@@ -201,8 +202,9 @@ def read_csv(path, header) -> tuple[np.ndarray, np.ndarray]:
             try:
                 a, b = map(float, row.split(b","))
             except ValueError:
-                raise ValueError(f"{path}:{line}: expected two numbers, "
-                                 f"got {row.decode(errors='replace')!r}") from None
+                text = row.decode(errors="replace")
+                raise ValueError(f"{path}:{line}: expected two numbers, got {text[:80]!r}"
+                                 + ("..." if len(text) > 80 else "")) from None
 
 
 def write_json(path, doc) -> None:

@@ -20,6 +20,7 @@ stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -193,6 +194,8 @@ def _config_command(sub, name: str, help: str, *groups) -> argparse.ArgumentPars
     return p
 
 
+# cached: in-process callers (perfbench, the tests, embedders) run main many times
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="gyrofde",

@@ -393,7 +393,23 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("gyrofde: error: ")
     if case in REMOVED_FLAGS:
         assert f"unrecognized arguments: {REMOVED_FLAGS[case][1]}" in err[0]
+    if case.endswith("long-field"):  # a bounded prefix of the 200,000-character row
+        assert len(err[0]) < 300
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["analytic", "--out", str(a)]) == 0
+    assert main(["analytic", "--drift", "0.02 deg_per_h_3_2, 2 h",
+                 "--drift", "0.03 deg_per_h_3_2, 5 h", "--no-turn-on",
+                 "--out", str(tmp_path / "drifts.csv")]) == 0
+    assert main(["analytic", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert build_parser() is build_parser()
+    # a mutable default, such as a list, is state one call can hand the next
+    args = build_parser().parse_args(["analytic", "--out", str(b)])
+    assert not any(isinstance(v, (list, dict, set)) for v in vars(args).values())
 
 
 @pytest.mark.parametrize("case", list(REMOVED_FLAGS))
