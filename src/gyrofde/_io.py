@@ -4,7 +4,8 @@ reader of the CSVs it takes back as input.
 CSV: one header row, then one row per index of the columns.  A float cell
 holds the bytes of ``'%.17g' % x``, 17 significant digits, so a read-back is
 exact; a NaN cell is left empty (a missing value, e.g. an infeasible contour
-point); an integer or bool cell holds ``'%d' % v``.  Lines end in csv's
+point).  An integer or bool cell is written as its float, which for a
+magnitude under 2**53 is the bytes of ``'%d' % v``.  Lines end in csv's
 "\\r\\n".
 
 The float cells of a block of rows are formatted together by numpy.  A
@@ -13,9 +14,9 @@ floor(log10|x|), as an error-free double-double product, whose error is
 under 2**-45; that gives its 17-digit integer exactly wherever the scaled
 value is farther than 2**-30 from a rounding tie and lies strictly inside
 (1e16, 1e17 - 1).  Every other cell (a near-tie, a decade edge, zero, inf,
-NaN, a magnitude out of that range, and every integer cell) is formatted by
-Python one at a time.  Each cell is laid out in a fixed width with zero bytes
-for the characters it omits, and the zero bytes are dropped from the block.
+NaN, a magnitude out of that range) is formatted by Python one at a time.
+Each cell is laid out in a fixed width with zero bytes for the characters it
+omits, and the zero bytes are dropped from the block.
 
 JSON: indent 2 and a trailing newline, to a file or, with no path, stdout.
 """
@@ -143,38 +144,31 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells, exact
 
 
-def _python_cell(v, is_float: bool) -> bytes:
-    """A cell as Python formats it; a NaN is a missing value."""
-    if not is_float:
-        return b"%d" % v
-    return b"" if v != v else b"%.17g" % v
-
-
 def write_csv(path, header, *columns) -> None:
-    """Write equal-length 1-d columns under ``header`` (one name per column)."""
+    """Write equal-length 1-d columns under ``header`` (one name per column).
+
+    Every cell is written as a float; an integer or bool column must stay
+    below 2**53 in magnitude, where its float prints as its ``'%d'``."""
     cols = [np.asarray(c) for c in columns]
     n = len(cols[0])
     if len(header) != len(cols) or any(len(c) != n for c in cols):
         raise ValueError("header and columns must match in number and length")
+    if n and any(c.dtype.kind in "iu" and max(int(c.max()), -int(c.min())) >= 2 ** 53
+                 for c in cols):
+        raise ValueError("an integer column holds a value of magnitude 2**53 or more")
     width = len(cols)
-    is_float = [c.dtype.kind == "f" for c in cols]
-    floats = [j for j in range(width) if is_float[j]]
     sep = _words(["\0" * 5 + ","] * (width - 1) + ["\0" * 5 + "\r\n"])
     step = max(1, _CELLS // width)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for i in range(0, n, step):
-            block = [c[i:i + step] for c in cols]
-            x = np.full((len(block[0]), width), np.nan)  # an integer cell goes to Python
-            for j in floats:
-                x[:, j] = block[j]
+            x = np.column_stack([c[i:i + step] for c in cols]).astype(float, copy=False)
             cells, exact = _float_cells(x.ravel())
             cells.reshape(len(x), width, _WORDS)[:, :, 5] |= sep
             text = cells.tobytes().translate(None, b"\0")
-            rows, js = np.nonzero(~exact.reshape(len(x), width))
-            if len(rows):
-                text %= tuple(_python_cell(block[j][r].item(), is_float[j])
-                              for r, j in zip(rows.tolist(), js.tolist()))
+            if not exact.all():  # Python's cells; a NaN is a missing value
+                text %= tuple(b"" if v != v else b"%.17g" % v
+                              for v in x.ravel()[~exact].tolist())
             fh.write(text)
 
 

@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", type=int, default=10)
     p.add_argument("--flights", type=int, default=100)
     p.add_argument("--stat-stride", type=int, default=0,
-                   help="record stats every this many steps (0 = auto)")
+                   help="record stats every this many steps (0 = auto: n_steps // 40, "
+                        "at least 1)")
     p.add_argument("--workers", type=int, default=1,
                    help="processes for the flight groups (output is identical)")
     p.add_argument("--out", required=True, help="ensemble CSV")
@@ -304,7 +305,9 @@ def _cmd_simulate(args) -> int:
     _check_out_dirs(args.out, args.report)
     cfg = load_config(args.config, args)
     stride = args.stat_stride
-    if stride <= 0:
+    if stride < 0:
+        raise ConfigError(f"--stat-stride: need 0 (auto) or more steps, got {stride}")
+    if stride == 0:
         stride = max(1, cfg.flight.n_steps // 40)
     stats = run_ensemble(cfg.model, cfg.flight, args.flights, args.groups,
                          cfg.seed, stat_stride=stride, n_workers=args.workers)

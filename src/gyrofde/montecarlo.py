@@ -26,30 +26,35 @@ __all__ = [
 ]
 
 
+# axis 0 of every stacked statistic: along-track, then cross-track
+AXES = ("ATRK", "XTRK")
+
+
 @dataclass
 class EnsembleStats:
-    """Per-group, per-time sample standard deviations over simulated flights."""
+    """Per-group, per-time sample standard deviations over simulated flights.
+
+    Axis 0 of ``std`` and ``pooled_std`` is the error axis, in the order of
+    ``AXES``: along-track (ATRK), then cross-track (XTRK)."""
 
     times: np.ndarray
-    std_atrk: np.ndarray        # (n_groups, n_times), km
-    std_xtrk: np.ndarray
-    pooled_std_atrk: np.ndarray  # (n_times,), all groups pooled
-    pooled_std_xtrk: np.ndarray
+    std: np.ndarray         # (2, n_groups, n_times), km
+    pooled_std: np.ndarray  # (2, n_times), all groups pooled
     n_flights: int
     model: GyroErrorModel
     profile: FlightProfile
 
     @property
     def n_groups(self) -> int:
-        """The number of groups, the rows of std_atrk."""
-        return self.std_atrk.shape[0]
+        """The number of groups, axis 1 of std."""
+        return self.std.shape[1]
 
     def to_csv(self, path) -> None:
         """Header ``t_h,group,std_atrk_km,std_xtrk_km``, group-major."""
         write_csv(path, ("t_h", "group", "std_atrk_km", "std_xtrk_km"),
                   np.tile(self.times, self.n_groups),
                   np.repeat(np.arange(self.n_groups), len(self.times)),
-                  self.std_atrk.ravel(), self.std_xtrk.ravel())
+                  *self.std.reshape(2, -1))
 
 
 def simulate_flight(m: GyroErrorModel, p: FlightProfile,
@@ -70,19 +75,24 @@ def simulate_flight(m: GyroErrorModel, p: FlightProfile,
     return times, errs[0], errs[1]
 
 
-def _group_accumulators(args):
-    """Sum and sum-of-squares over one group's flights at the stat indices."""
+def _group_accumulators(args) -> np.ndarray:
+    """The (s, ss) x axis x time sums and sums of squares of one group's
+    flight errors at the stat indices."""
     m, p, g, n_flights, master_seed, idx = args
-    s = np.zeros((2, len(idx)))
-    ss = np.zeros((2, len(idx)))
+    sums = np.zeros((2, 2, len(idx)))
     for i in range(n_flights):
         key = np.random.SeedSequence(entropy=master_seed, spawn_key=(g, i))
         _, atrk, xtrk = simulate_flight(m, p, key)
-        for ax, err in enumerate((atrk, xtrk)):
-            v = err[idx]
-            s[ax] += v
-            ss[ax] += v * v
-    return s, ss
+        v = np.array([atrk[idx], xtrk[idx]])
+        sums[0] += v
+        sums[1] += v * v
+    return sums
+
+
+def _sample_std(sums: np.ndarray, n: float) -> np.ndarray:
+    """The ddof-1 standard deviation of n draws from their (s, ss) sums."""
+    s, ss = sums
+    return np.sqrt(np.maximum(ss - s * s / n, 0.0) / (n - 1.0))
 
 
 def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
@@ -109,11 +119,10 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
     idx = np.arange(0, n + 1, min(stat_stride, n))
     if idx[-1] != n:
         idx = np.append(idx, n)
-    times = idx * p.dt
 
-    # allocated before any flight runs: a group count too large to hold
-    # fails here, at once
-    std = np.zeros((2, n_groups, len(idx)))
+    # (s, ss) x axis x group x time, allocated before any flight runs: a
+    # group count too large to hold fails here, at once
+    sums = np.zeros((2, 2, n_groups, len(idx)))
     jobs = ((m, p, g, n_flights, master_seed, idx) for g in range(n_groups))
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -124,38 +133,28 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
                                  initializer=partial(np.seterr, **np.geterr())) as pool:
             results = list(pool.map(_group_accumulators, jobs))
     else:
-        results = [_group_accumulators(j) for j in jobs]
+        results = map(_group_accumulators, jobs)
+    for g, group_sums in enumerate(results):
+        sums[:, :, g] = group_sums
 
     nf = float(n_flights)
-    tot_s = np.zeros((2, len(idx)))
-    tot_ss = np.zeros((2, len(idx)))
-    for g, (s, ss) in enumerate(results):
-        var = np.maximum(ss - s * s / nf, 0.0) / (nf - 1.0)
-        std[:, g, :] = np.sqrt(var)
-        tot_s += s
-        tot_ss += ss
-    ntot = nf * n_groups
-    pooled_var = np.maximum(tot_ss - tot_s * tot_s / ntot, 0.0) / (ntot - 1.0)
-    pooled = np.sqrt(pooled_var)
-
-    return EnsembleStats(times=times, std_atrk=std[0], std_xtrk=std[1],
-                         pooled_std_atrk=pooled[0], pooled_std_xtrk=pooled[1],
+    return EnsembleStats(times=idx * p.dt, std=_sample_std(sums, nf),
+                         pooled_std=_sample_std(sums.sum(axis=2), nf * n_groups),
                          n_flights=n_flights, model=m, profile=p)
 
 
 @dataclass
 class ComparisonReport:
-    """Group-level agreement between simulated stds and the analytic curves."""
+    """Group-level agreement between simulated stds and the analytic curves.
+
+    Axis 0 of every array but ``times`` is the error axis, in the order of
+    ``AXES``: along-track (ATRK), then cross-track (XTRK)."""
 
     times: np.ndarray
-    analytic_atrk: np.ndarray
-    analytic_xtrk: np.ndarray
-    rel_dev_atrk: np.ndarray     # (n_groups, n_times)
-    rel_dev_xtrk: np.ndarray
-    coverage_atrk: np.ndarray    # (n_times,) fraction of groups inside the band
-    coverage_xtrk: np.ndarray
-    pooled_rel_dev_atrk: np.ndarray
-    pooled_rel_dev_xtrk: np.ndarray
+    analytic: np.ndarray        # (2, n_times), km
+    rel_dev: np.ndarray         # (2, n_groups, n_times)
+    coverage: np.ndarray        # (2, n_times) fraction of groups inside the band
+    pooled_rel_dev: np.ndarray  # (2, n_times)
     band_lo: float
     band_hi: float
     confidence: float
@@ -165,30 +164,28 @@ class ComparisonReport:
             "times_h": self.times.tolist(),
             "band": {"lo": self.band_lo, "hi": self.band_hi,
                      "confidence": self.confidence},
-            "atrk": {
-                "analytic_km": self.analytic_atrk.tolist(),
-                "rel_dev": self.rel_dev_atrk.tolist(),
-                "coverage": self.coverage_atrk.tolist(),
-                "pooled_rel_dev": self.pooled_rel_dev_atrk.tolist(),
-            },
-            "xtrk": {
-                "analytic_km": self.analytic_xtrk.tolist(),
-                "rel_dev": self.rel_dev_xtrk.tolist(),
-                "coverage": self.coverage_xtrk.tolist(),
-                "pooled_rel_dev": self.pooled_rel_dev_xtrk.tolist(),
-            },
         }
+        for ax, name in enumerate(AXES):
+            doc[name.lower()] = {
+                "analytic_km": self.analytic[ax].tolist(),
+                "rel_dev": self.rel_dev[ax].tolist(),
+                "coverage": self.coverage[ax].tolist(),
+                "pooled_rel_dev": self.pooled_rel_dev[ax].tolist(),
+            }
         write_json(path, doc)
 
-    def coverage_at(self, t: float, axis: str) -> float:
+    def _at(self, values: np.ndarray, t: float, axis: str) -> float:
+        """``values`` of ``axis`` ("ATRK" or "XTRK") at the time nearest t."""
+        if axis not in AXES:
+            raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
         j = int(np.argmin(np.abs(self.times - t)))
-        return float((self.coverage_atrk if axis == "ATRK"
-                      else self.coverage_xtrk)[j])
+        return float(values[AXES.index(axis), j])
+
+    def coverage_at(self, t: float, axis: str) -> float:
+        return self._at(self.coverage, t, axis)
 
     def pooled_rel_dev_at(self, t: float, axis: str) -> float:
-        j = int(np.argmin(np.abs(self.times - t)))
-        return float((self.pooled_rel_dev_atrk if axis == "ATRK"
-                      else self.pooled_rel_dev_xtrk)[j])
+        return self._at(self.pooled_rel_dev, t, axis)
 
 
 def compare_to_analytic(stats: EnsembleStats, m: GyroErrorModel,
@@ -203,23 +200,11 @@ def compare_to_analytic(stats: EnsembleStats, m: GyroErrorModel,
 
     b = fde_sigma(m, p, stats.times)
     ana = np.array([b.sigma_atrk, b.sigma_xtrk])
-
-    rel = np.zeros((2, stats.n_groups, len(stats.times)))
-    cov = np.zeros((2, len(stats.times)))
-    pooled_rel = np.zeros((2, len(stats.times)))
-    for ax, (grp, pooled) in enumerate((
-            (stats.std_atrk, stats.pooled_std_atrk),
-            (stats.std_xtrk, stats.pooled_std_xtrk))):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(ana[ax] > 0, grp / ana[ax], 1.0)
-            pooled_ratio = np.where(ana[ax] > 0, pooled / ana[ax], 1.0)
-        rel[ax] = ratio - 1.0
-        cov[ax] = np.mean((ratio >= lo) & (ratio <= hi), axis=0)
-        pooled_rel[ax] = pooled_ratio - 1.0
-
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(ana[:, None] > 0, stats.std / ana[:, None], 1.0)
+        pooled_ratio = np.where(ana > 0, stats.pooled_std / ana, 1.0)
     return ComparisonReport(
-        times=stats.times, analytic_atrk=ana[0], analytic_xtrk=ana[1],
-        rel_dev_atrk=rel[0], rel_dev_xtrk=rel[1],
-        coverage_atrk=cov[0], coverage_xtrk=cov[1],
-        pooled_rel_dev_atrk=pooled_rel[0], pooled_rel_dev_xtrk=pooled_rel[1],
+        times=stats.times, analytic=ana, rel_dev=ratio - 1.0,
+        coverage=np.mean((ratio >= lo) & (ratio <= hi), axis=1),
+        pooled_rel_dev=pooled_ratio - 1.0,
         band_lo=lo, band_hi=hi, confidence=confidence)

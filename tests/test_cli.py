@@ -347,6 +347,8 @@ def _bad_input_cases(tmp_path):
         "simulate-groups-1e15": ["simulate", "--groups", str(10 ** 15), "--out", out],
         "simulate-flights-1": ["simulate", "--flights", "1", "--out", out],
         "simulate-workers-0": ["simulate", "--workers", "0", "--out", out],
+        "simulate-stat-stride-negative": ["simulate", "--stat-stride", "-3",
+                                          "--out", out],
         "check-negative-target": ["check", "--target", "-1 nmi"],
         "grid-zero-points": ["grid", "--n-range", "1e-3,1e-2,0", "--out", out],
         "contour-zero-points": ["contour", "--n-range", "1e-3,1e-2,0", "--out", out],
@@ -376,7 +378,7 @@ def _bad_input_cases(tmp_path):
 
 @pytest.mark.parametrize("case", [
     "simulate-groups-0", "simulate-groups-1e15", "simulate-flights-1",
-    "simulate-workers-0", "check-negative-target",
+    "simulate-workers-0", "simulate-stat-stride-negative", "check-negative-target",
     "grid-zero-points", "contour-zero-points", "allan-short-trace", "allan-nan-trace",
     "allan-gap-trace", "analytic-points-0", "analytic-points-1e15",
     "analytic-points-2**63", "grid-points-1e15", "contour-points-2**63",

@@ -45,7 +45,7 @@ def _trace():
 def _ensemble():
     p = FlightProfile(duration=0.05, dt=5 * SEC)
     st = run_ensemble(NAV, p, 3, 3, master_seed=5, stat_stride=4)
-    rows = [[_g(t), g, _g(st.std_atrk[g, j]), _g(st.std_xtrk[g, j])]
+    rows = [[_g(t), g, _g(st.std[0, g, j]), _g(st.std[1, g, j])]
             for g in range(st.n_groups) for j, t in enumerate(st.times)]
     return st.to_csv, ["t_h", "group", "std_atrk_km", "std_xtrk_km"], rows
 
@@ -183,6 +183,20 @@ def test_zero_rows_write_the_header_only(tmp_path):
     path = tmp_path / "out.csv"
     _io.write_csv(path, ["a", "b"], np.array([]), np.array([], dtype=int))
     assert path.read_bytes() == b"a,b\r\n"
+
+
+@pytest.mark.parametrize("column", [
+    np.array([2 ** 53]), np.array([-2 ** 53]), np.array([0, 2 ** 63 - 1]),
+    np.array([-2 ** 63, 0]), np.array([2 ** 64 - 1], dtype=np.uint64)])
+def test_integer_column_at_2_53_or_more_is_rejected(tmp_path, column):
+    """Every cell is written as a float, which prints an integer as '%d'
+    only below 2**53 in magnitude."""
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        _io.write_csv(path, ["x", "i"], np.zeros(len(column)), column)
+    assert not path.exists()
+    _io.write_csv(path, ["i"], np.array([2 ** 53 - 1, 1 - 2 ** 53]))
+    assert path.read_bytes() == b"i\r\n9007199254740991\r\n-9007199254740991\r\n"
 
 
 @pytest.mark.parametrize("argv", [

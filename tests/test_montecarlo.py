@@ -49,7 +49,7 @@ class TestRunEnsemble:
     def test_zero_model_zero_stds(self):
         stats = run_ensemble(GyroErrorModel(), SHORT, 2, 1, master_seed=0,
                              stat_stride=100)
-        assert np.all(stats.std_atrk == 0.0) and np.all(stats.std_xtrk == 0.0)
+        assert np.all(stats.std == 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -67,9 +67,25 @@ class TestRunEnsemble:
                          n_workers=1)
         b = run_ensemble(m, SHORT, 5, 4, master_seed=3, stat_stride=60,
                          n_workers=2)
-        np.testing.assert_array_equal(a.std_atrk, b.std_atrk)
-        np.testing.assert_array_equal(a.std_xtrk, b.std_xtrk)
-        np.testing.assert_array_equal(a.pooled_std_xtrk, b.pooled_std_xtrk)
+        np.testing.assert_array_equal(a.std, b.std)
+        np.testing.assert_array_equal(a.pooled_std[1], b.pooled_std[1])
+
+    def test_stds_are_numpy_std_of_the_keyed_flights(self):
+        """Each group's std is np.std(ddof=1) of its flights (g, i) at the
+        stat times, ATRK on axis 0 and groups in order; pooled over all."""
+        m = GyroErrorModel.from_deg(0.01, ((0.05, 0.2),))
+        stats = run_ensemble(m, SHORT, 4, 3, master_seed=8, stat_stride=90)
+        idx = np.arange(0, SHORT.n_steps + 1, 90)
+        np.testing.assert_array_equal(stats.times, idx * SHORT.dt)
+        # (group, flight, axis, time) -> (axis, group, flight, time)
+        errs = np.array([[simulate_flight(m, SHORT, keyed(8, g, i))[1:]
+                          for i in range(4)] for g in range(3)])[..., idx]
+        errs = errs.transpose(2, 0, 1, 3)
+        np.testing.assert_allclose(stats.std, errs.std(axis=2, ddof=1),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stats.pooled_std,
+                                   errs.reshape(2, 12, -1).std(axis=1, ddof=1),
+                                   rtol=1e-12, atol=0)
 
     def test_pool_has_no_more_workers_than_groups(self, tmp_path, monkeypatch):
         """Under fork a pool starts every worker it may use, so it may use
@@ -114,8 +130,7 @@ class TestRunEnsemble:
                            stat_stride=SHORT.n_steps)
         s50 = run_ensemble(m, SHORT, 50, 150, master_seed=10,
                            stat_stride=SHORT.n_steps)
-        for g25, g50 in ((s25.std_atrk, s50.std_atrk),
-                         (s25.std_xtrk, s50.std_xtrk)):
+        for g25, g50 in zip(s25.std, s50.std):
             ratio = np.std(g25[:, -1], ddof=1) / np.std(g50[:, -1], ddof=1)
             assert 1.15 < ratio < 1.70  # ~sqrt(2) up to scatter of the scatter
 
@@ -127,15 +142,12 @@ class TestCompareToAnalytic:
         times = np.array([0.0, 2.5, 5.0, 10.0])
         ana = np.array([[fde_sigma(m, p, t).sigma_atrk for t in times],
                         [fde_sigma(m, p, t).sigma_xtrk for t in times]])
-        stats = EnsembleStats(times=times,
-                              std_atrk=np.tile(ana[0], (3, 1)),
-                              std_xtrk=np.tile(ana[1], (3, 1)),
-                              pooled_std_atrk=ana[0], pooled_std_xtrk=ana[1],
-                              n_flights=100, model=m, profile=p)
+        stats = EnsembleStats(times=times, std=np.tile(ana[:, None], (1, 3, 1)),
+                              pooled_std=ana, n_flights=100, model=m, profile=p)
         rep = compare_to_analytic(stats, m, p)
-        np.testing.assert_allclose(rep.rel_dev_atrk, 0.0, atol=1e-15)
-        np.testing.assert_allclose(rep.rel_dev_xtrk, 0.0, atol=1e-15)
-        assert np.all(rep.coverage_atrk == 1.0)
+        np.testing.assert_allclose(rep.rel_dev[0], 0.0, atol=1e-15)
+        np.testing.assert_allclose(rep.rel_dev[1], 0.0, atol=1e-15)
+        assert np.all(rep.coverage[0] == 1.0)
 
     def test_model_mismatch_rejected(self):
         m = GyroErrorModel.from_deg(0.005, ((0.01, 1.0),))
@@ -163,6 +175,16 @@ class TestCompareToAnalytic:
             assert rep.coverage_at(t, "XTRK") >= 0.8
             assert abs(rep.pooled_rel_dev_at(t, "ATRK")) < 0.10
             assert abs(rep.pooled_rel_dev_at(t, "XTRK")) < 0.10
+
+    @pytest.mark.parametrize("axis", ["atrk", "xtrk", "FDE", ""])
+    def test_unknown_axis_name_rejected(self, axis):
+        m = GyroErrorModel.from_deg(0.01, ())
+        rep = compare_to_analytic(run_ensemble(m, SHORT, 5, 2, 0, stat_stride=180),
+                                  m, SHORT)
+        with pytest.raises(ValueError, match="axis"):
+            rep.coverage_at(0.1, axis)
+        with pytest.raises(ValueError, match="axis"):
+            rep.pooled_rel_dev_at(0.1, axis)
 
     def test_report_json(self, tmp_path):
         m = GyroErrorModel.from_deg(0.01, ())
@@ -214,7 +236,7 @@ class TestPhysicalProperties:
             p = FlightProfile(v=900, duration=0.5, dt=dt)
             stats = run_ensemble(m, p, 10_000, 1, master_seed=55,
                                  stat_stride=p.n_steps)
-            pooled[dt] = (stats.pooled_std_atrk[-1], stats.pooled_std_xtrk[-1])
+            pooled[dt] = tuple(stats.pooled_std[:, -1])
         for ax in (0, 1):
             a, b = pooled[1e-3][ax], pooled[5e-4][ax]
             assert abs(a - b) / b < 0.01
