@@ -17,12 +17,12 @@ from .montecarlo import (ComparisonReport, EnsembleStats, compare_to_analytic,
 from .tradestudy import (ComplianceResult, ContourResult, RequirementTarget,
                          check_requirement, fde95_of, fde_grid, solve_K,
                          solve_K_contour)
-from .units import Quantity, UnitError, convert, parse_quantity
+from .units import UnitError, parse_quantity
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Quantity", "UnitError", "convert", "parse_quantity",
+    "UnitError", "parse_quantity",
     "NoiseSpec", "DriftSpec", "GyroErrorModel", "RateTrace",
     "drift_stationary_std", "synthesize_rate_trace", "substream",
     "AllanCurve", "AllanLandmarks", "allan_variance_analytic",

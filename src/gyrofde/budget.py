@@ -102,6 +102,11 @@ def _budget(N, drifts, turn_on: bool, R, v, t) -> ErrorBudget:
     t = np.asarray(t, dtype=float)[()]
     if np.any(t < 0):
         raise ValueError(f"t must be >= 0, got {t}")
+    # numpy operands, not Python floats: an overflow in N ** 2 * v * v or
+    # K * K * Tc ** 5 * v * v then meets the caller's np.errstate, where a
+    # Python float product would be inf without a word
+    N, R, v = np.float64(N), np.float64(R), np.float64(v)
+    drifts = [(np.float64(K), np.float64(Tc)) for K, Tc in drifts]
     an = N ** 2 * R * R * t
     # np.power, not **: a float t then takes numpy's array pow, not libm's,
     # so a float and an array of times give the same bits

@@ -67,7 +67,7 @@ def _quantity(node, path: str, dimension: str) -> float:
     if not isinstance(node, str):
         raise ConfigError(f"{path}: expected '<value> <unit>' string, got {node!r}")
     try:
-        return parse_quantity(node, dimension).canonical()
+        return parse_quantity(node, dimension)
     except UnitError as e:
         raise ConfigError(f"{path}: {e}") from None
 
@@ -108,6 +108,8 @@ def parse_config(doc: dict, overrides: argparse.Namespace | None = None) -> RunC
     for key, kind, what in (("turn_on", bool, "true/false"), ("seed", int, "integer")):
         if key in doc and type(doc[key]) is not kind:
             raise ConfigError(f"{key}: expected {what}, got {doc[key]!r}")
+    if doc.get("seed", 0) < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {doc['seed']!r}")
     if not isinstance(doc.get("drifts", []), list):
         raise ConfigError(f"drifts: expected a JSON array, got {doc['drifts']!r}")
 
@@ -376,6 +378,9 @@ def _interior_maximum(sig: np.ndarray) -> int | None:
 
 
 def _cmd_fit_allan(args) -> int:
+    if args.curve and (args.tau_max or args.sigma_max):
+        raise ConfigError("--curve and --tau-max/--sigma-max are exclusive: "
+                          "give one source of the maximum")
     if args.curve:
         curve = allan_mod.AllanCurve.from_csv(args.curve)
         i = _interior_maximum(curve.sigmas)

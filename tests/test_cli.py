@@ -314,6 +314,7 @@ def _bad_input_cases(tmp_path):
     gap = _write_trace(tmp_path / "gap.csv",
                        [((i + (46 if i > 5 else 0)) / 3600, 0.01) for i in range(1, 11)])
     seed_true = write_config(tmp_path, {"seed": True}, "seed.json")
+    seed_negative = write_config(tmp_path, {"seed": -1}, "seed_negative.json")
     one_row = tmp_path / "one_row.csv"
     one_row.write_text("tau_s,sigma_deg_per_h\n10,0.1\n")
     bad_number = tmp_path / "bad_number.csv"
@@ -325,6 +326,8 @@ def _bad_input_cases(tmp_path):
             ("negative-tau", "-1,0.01\n100,0.03\n1000,0.02\n")):
         curves[name] = tmp_path / f"{name}.csv"
         curves[name].write_text("tau_s,sigma_deg_per_h\n" + body)
+    curves["interior-max"] = tmp_path / "interior-max.csv"  # a curve fit-allan accepts
+    curves["interior-max"].write_text("tau_s,sigma_deg_per_h\n10,0.01\n1000,0.03\n3600,0.02\n")
     rate_trace = _write_trace(tmp_path / "rate_trace.csv",
                               [(1 / 3600, 0.01), (2 / 3600, 0.03), (3 / 3600, 0.02)])
     # a field longer than the csv module's limit of 131,072 characters
@@ -362,6 +365,19 @@ def _bad_input_cases(tmp_path):
         "contour-points-2**63": ["contour", "--n-range", f"1e-3,1e-2,{2 ** 63}",
                                  "--out", out],
         "seed-true": ["analytic", "--config", seed_true, "--out", out],
+        "seed-negative": ["analytic", "--config", seed_negative, "--out", out],
+        # products that overflow a double: numeric range, not a failed requirement
+        "check-v-overflow": ["check", "--v", "1e200 km_per_h",
+                             "--noise", "1 deg_per_sqrt_h", "--out", out],
+        "check-K-overflow": ["check", "--drift", "1e200 deg_per_h_3_2, 1 h", "--out", out],
+        "check-radius-overflow": ["check", "--radius", "1e200 km",
+                                  "--noise", "1 deg_per_sqrt_h", "--out", out],
+        "check-target-overflow": ["check", "--target", "1e308 nmi", "--out", out],
+        "fit-allan-curve-and-tau-max": ["fit-allan", "--curve", str(curves["interior-max"]),
+                                        "--tau-max", "1 s", "--out", out],
+        "fit-allan-curve-and-landmark": ["fit-allan", "--curve", str(curves["interior-max"]),
+                                         "--tau-max", "1 s", "--sigma-max", "5 deg_per_h",
+                                         "--out", out],
         "fit-allan-one-row": ["fit-allan", "--curve", str(one_row), "--out", out],
         "fit-allan-bad-number": ["fit-allan", "--curve", str(bad_number), "--out", out],
         "fit-allan-nan-sigma": ["fit-allan", "--curve", str(curves["nan-sigma"]),
@@ -382,7 +398,9 @@ def _bad_input_cases(tmp_path):
     "grid-zero-points", "contour-zero-points", "allan-short-trace", "allan-nan-trace",
     "allan-gap-trace", "analytic-points-0", "analytic-points-1e15",
     "analytic-points-2**63", "grid-points-1e15", "contour-points-2**63",
-    "seed-true", "fit-allan-one-row",
+    "seed-true", "seed-negative", "check-v-overflow", "check-K-overflow",
+    "check-radius-overflow", "check-target-overflow", "fit-allan-curve-and-tau-max",
+    "fit-allan-curve-and-landmark", "fit-allan-one-row",
     "fit-allan-bad-number", "fit-allan-nan-sigma", "fit-allan-rate-trace",
     "fit-allan-unordered-taus", "fit-allan-negative-tau", "analytic-points-not-int",
     "analytic-unknown-flag", "analytic-no-out", "check-turn-on-and-no-turn-on",
@@ -395,6 +413,12 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("gyrofde: error: ")
     if case in REMOVED_FLAGS:
         assert f"unrecognized arguments: {REMOVED_FLAGS[case][1]}" in err[0]
+    if case.startswith("seed-"):
+        assert "seed" in err[0]
+    if case.endswith("-overflow"):
+        assert "out of numeric range" in err[0]
+    if case.startswith("fit-allan-curve-and-"):
+        assert "--curve" in err[0]
     if case.endswith("long-field"):  # a bounded prefix of the 200,000-character row
         assert len(err[0]) < 300
     assert not (tmp_path / "out.csv").exists()
