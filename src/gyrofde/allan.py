@@ -101,10 +101,12 @@ def allan_variance_analytic(m: GyroErrorModel, tau) -> np.ndarray | float:
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("tau must be > 0")
+    # numpy operands, as in budget._budget: an overflow meets np.errstate
     drift = 0.0 * tau
     for K, Tc in _drift_pairs(m):
+        K, Tc = np.float64(K), np.float64(Tc)
         drift = drift + K * K * Tc ** 3 * atrk_inflight_shape(tau / Tc)
-    return (m.noise.N ** 2 / tau + drift / (tau * tau))[()]
+    return (np.float64(m.noise.N) ** 2 / tau + drift / (tau * tau))[()]
 
 
 def default_tau_grid(dt: float, duration: float) -> np.ndarray:
@@ -187,6 +189,18 @@ def _golden_log_extremum(f, lo: float, mid: float, hi: float) -> float:
     return math.exp(x1 if f1 < f2 else x2)
 
 
+def _interior_maximum(sig) -> int | None:
+    """Index of the highest interior sample at or above both neighbours, the
+    first of equals, or None.  An Allan curve's extrema are interior: its
+    global maximum is usually the noise branch at the left edge, and on short
+    records its global minimum can be the rolloff tail at the right edge."""
+    mid = sig[1:-1]
+    peaks = np.flatnonzero((mid >= sig[:-2]) & (mid >= sig[2:]))
+    if not peaks.size:
+        return None
+    return 1 + int(peaks[np.argmax(mid[peaks])])
+
+
 def allan_landmarks_analytic(m: GyroErrorModel) -> AllanLandmarks:
     """Locate the curve's interior minimum and maximum for a one-drift model."""
     if len(m.drifts) != 1:
@@ -204,22 +218,16 @@ def allan_landmarks_analytic(m: GyroErrorModel) -> AllanLandmarks:
     grid = np.geomspace(lo, hi, max(200, int(60 * math.log10(hi / lo))))
     sig = np.sqrt(allan_variance_analytic(m, grid))
 
-    tau_min = sigma_min = tau_max = sigma_max = None
-    interior = np.arange(1, len(grid) - 1)
-    mins = interior[(sig[interior] < sig[interior - 1]) & (sig[interior] <= sig[interior + 1])]
-    if len(mins):
-        i = mins[0]
-        tau_min = _golden_log_extremum(lambda t: math.sqrt(allan_variance_analytic(m, t)),
-                                       grid[i - 1], grid[i], grid[i + 1])
-        sigma_min = math.sqrt(allan_variance_analytic(m, tau_min))
-    maxs = interior[(sig[interior] > sig[interior - 1]) & (sig[interior] >= sig[interior + 1])]
-    if len(maxs):
-        i = maxs[-1]
-        tau_max = _golden_log_extremum(lambda t: -math.sqrt(allan_variance_analytic(m, t)),
-                                       grid[i - 1], grid[i], grid[i + 1])
-        sigma_max = math.sqrt(allan_variance_analytic(m, tau_max))
+    def extremum(sign):
+        """(tau, sigma) of the maximum of sign * sigma, or (None, None)."""
+        i = _interior_maximum(sign * sig)
+        if i is None:
+            return None, None
+        tau = _golden_log_extremum(lambda t: -sign * math.sqrt(allan_variance_analytic(m, t)),
+                                   grid[i - 1], grid[i], grid[i + 1])
+        return tau, math.sqrt(allan_variance_analytic(m, tau))
 
-    return AllanLandmarks(tau_min, sigma_min, tau_max, sigma_max)
+    return AllanLandmarks(*extremum(-1.0), *extremum(1.0))
 
 
 def identify_from_max(tau_max: float, sigma_max: float) -> DriftSpec:
@@ -228,8 +236,9 @@ def identify_from_max(tau_max: float, sigma_max: float) -> DriftSpec:
     if tau_max <= 0 or sigma_max <= 0:
         raise ValueError("tau_max and sigma_max must be > 0")
     Tc = tau_max / TAU_MAX_OVER_TC
-    K = sigma_max / (SIGMA_MAX_OVER_K_SQRT_TC * math.sqrt(Tc))
-    return DriftSpec(K=K, Tc=Tc)
+    # a numpy quotient: its overflow meets np.errstate, not DriftSpec as inf
+    K = np.float64(sigma_max) / (SIGMA_MAX_OVER_K_SQRT_TC * math.sqrt(Tc))
+    return DriftSpec(K=float(K), Tc=Tc)
 
 
 def landmarks_to_json(path, lm: AllanLandmarks,

@@ -67,19 +67,28 @@ class FlightProfile:
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Per-term variances (km^2) and total error standard deviations (km) at
-    one flight time, or arrays of them over an array of times."""
+    """Per-term variances (km^2) at one flight time, or arrays of them over
+    an array of times; the standard deviations (km) are their root sums."""
 
-    t: float
     atrk_noise: float
     atrk_drift: float
     atrk_turnon: float
     xtrk_noise: float
     xtrk_drift: float
     xtrk_turnon: float
-    sigma_atrk: float
-    sigma_xtrk: float
-    sigma_fde: float
+
+    @property
+    def sigma_atrk(self) -> float:
+        return np.sqrt(self.atrk_noise + self.atrk_drift + self.atrk_turnon)
+
+    @property
+    def sigma_xtrk(self) -> float:
+        return np.sqrt(self.xtrk_noise + self.xtrk_drift + self.xtrk_turnon)
+
+    @property
+    def sigma_fde(self) -> float:
+        return np.sqrt((self.atrk_noise + self.atrk_drift + self.atrk_turnon)
+                       + (self.xtrk_noise + self.xtrk_drift + self.xtrk_turnon))
 
     @property
     def fde95_km(self) -> float:
@@ -123,9 +132,7 @@ def _budget(N, drifts, turn_on: bool, R, v, t) -> ErrorBudget:
             at = at + sa * em * em / 2.0
             g = xminus_em(x)
             xt = xt + sx * g * g / 2.0
-    va, vx = an + ad + at, xn + xd + xt
-    return ErrorBudget(t, an, ad, at, xn, xd, xt,
-                       np.sqrt(va), np.sqrt(vx), np.sqrt(va + vx))
+    return ErrorBudget(an, ad, at, xn, xd, xt)
 
 
 def _drift_pairs(m: GyroErrorModel) -> list[tuple[float, float]]:
@@ -155,6 +162,6 @@ def budget_series_to_csv(path, m: GyroErrorModel, p: FlightProfile,
                      "fde95_nmi", "atrk_noise_km2", "atrk_drift_km2",
                      "atrk_turnon_km2", "xtrk_noise_km2", "xtrk_drift_km2",
                      "xtrk_turnon_km2"),
-              b.t, b.sigma_atrk, b.sigma_xtrk, b.sigma_fde, b.fde95_nmi,
-              b.atrk_noise, b.atrk_drift, b.atrk_turnon,
-              b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon)
+              np.asarray(times, dtype=float), b.sigma_atrk, b.sigma_xtrk,
+              b.sigma_fde, b.fde95_nmi, b.atrk_noise, b.atrk_drift,
+              b.atrk_turnon, b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon)

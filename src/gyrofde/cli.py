@@ -180,6 +180,15 @@ def _flight_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", help="sphere radius, e.g. '6371 km'")
 
 
+def _map_flags(p: argparse.ArgumentParser) -> None:
+    """grid and contour map the turn-on model of --tc over their ranges."""
+    p.add_argument("--target", default="10 nmi", help="FDE ceiling (95%%)")
+    p.add_argument("--tc", default="1 h", help="drift time constant")
+    p.add_argument("--n-range", default="1e-4,1e-1,60",
+                   help="N range deg_per_sqrt_h: lo,hi,points (log-spaced)")
+    p.add_argument("--out", required=True)
+
+
 def _sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", help="simulation step, e.g. '1 s'")
     p.add_argument("--seed", type=int, help="master seed")
@@ -238,23 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", help="Allan curve CSV to take the maximum from")
     p.add_argument("--out", help="output JSON (default stdout)")
 
-    # grid and contour map the turn-on model of --tc over their ranges
     p = _config_command(sub, "grid", "2-sigma FDE heat-map grid over (N, K)",
-                        _flight_flags)
-    p.add_argument("--target", default="10 nmi", help="FDE ceiling (95%%)")
-    p.add_argument("--tc", default="1 h", help="drift time constant")
-    p.add_argument("--n-range", default="1e-4,1e-1,60",
-                   help="N range deg_per_sqrt_h: lo,hi,points (log-spaced)")
+                        _flight_flags, _map_flags)
     p.add_argument("--k-range", default="1e-3,1e-1,60",
                    help="K range deg_per_h_3_2: lo,hi,points (log-spaced)")
-    p.add_argument("--out", required=True)
 
-    p = _config_command(sub, "contour", "required-K contour across noise values",
-                        _flight_flags)
-    p.add_argument("--target", default="10 nmi")
-    p.add_argument("--tc", default="1 h")
-    p.add_argument("--n-range", default="1e-4,1e-1,60")
-    p.add_argument("--out", required=True)
+    _config_command(sub, "contour", "required-K contour across noise values",
+                    _flight_flags, _map_flags)
 
     p = _config_command(sub, "check", "requirement compliance check (exit 1 on fail)",
                         _model_flags, _flight_flags)
@@ -362,28 +361,13 @@ def _cmd_allan(args) -> int:
     return 0
 
 
-def _interior_maximum(sig: np.ndarray) -> int | None:
-    """Index of the highest interior local maximum of a sampled curve.
-
-    The drift bump of an Allan curve is an interior extremum; the global
-    sample maximum is usually the noise branch at the left edge, and on short
-    records the global minimum can be the rolloff tail at the right edge, so
-    neither is a safe anchor.
-    """
-    idx = [i for i in range(1, len(sig) - 1)
-           if sig[i] >= sig[i - 1] and sig[i] >= sig[i + 1]]
-    if not idx:
-        return None
-    return max(idx, key=lambda i: sig[i])
-
-
 def _cmd_fit_allan(args) -> int:
     if args.curve and (args.tau_max or args.sigma_max):
         raise ConfigError("--curve and --tau-max/--sigma-max are exclusive: "
                           "give one source of the maximum")
     if args.curve:
         curve = allan_mod.AllanCurve.from_csv(args.curve)
-        i = _interior_maximum(curve.sigmas)
+        i = allan_mod._interior_maximum(curve.sigmas)
         if i is None:
             raise ConfigError(
                 f"{args.curve}: no interior Allan maximum; the record is too "

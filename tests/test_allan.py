@@ -147,6 +147,16 @@ class TestLandmarks:
                 NoiseSpec(0.0), (DriftSpec(1.0, 1.0),)))
 
 
+@pytest.mark.parametrize("sig, want", [
+    ([0.0, 2.0, 1.0, 3.0, 0.5], 3),  # two interior peaks: the higher
+    ([0.0, 2.0, 1.0, 2.0, 0.5], 1),  # equal peaks: the first
+    ([1.0, 2.0, 2.0, 1.0], 1),       # a plateau: its first sample
+    ([3.0, 2.0, 1.0], None), ([1.0, 2.0, 3.0], None),
+    ([], None), ([1.0], None), ([1.0, 2.0], None)])
+def test_interior_maximum(sig, want):
+    assert allan._interior_maximum(np.array(sig, dtype=float)) == want
+
+
 class TestGoldenSearch:
     @pytest.mark.parametrize("model", [
         FIG3,

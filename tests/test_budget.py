@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from gyrofde import _series
-from gyrofde.budget import FlightProfile, budget_series_to_csv, fde_sigma
+from gyrofde.budget import (ErrorBudget, FlightProfile, budget_series_to_csv,
+                            fde_sigma)
 from gyrofde.gyro import DriftSpec, GyroErrorModel, NoiseSpec
 from gyrofde.units import DEG, NMI_KM
 
@@ -32,6 +33,34 @@ class TestFlightProfile:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             FlightProfile(**kw)
+
+
+class TestErrorBudgetRecord:
+    TERMS = ["atrk_noise", "atrk_drift", "atrk_turnon",
+             "xtrk_noise", "xtrk_drift", "xtrk_turnon"]
+
+    def test_fields_are_the_six_variance_terms(self):
+        assert [f.name for f in dataclasses.fields(ErrorBudget)] == self.TERMS
+
+    def test_sigmas_are_not_settable(self):
+        with pytest.raises(TypeError):
+            ErrorBudget(*[1.0] * 6, sigma_fde=1.0)
+        with pytest.raises(AttributeError):
+            ErrorBudget(*[1.0] * 6).sigma_atrk = 1.0
+
+    @pytest.mark.parametrize("shape", [(), (50,)])
+    def test_sigmas_are_root_sums_in_their_grouping(self, shape):
+        """Bit for bit: a sum grouped otherwise can differ in the last place."""
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            an, ad, at, xn, xd, xt = (
+                (rng.random(shape) * 10.0 ** rng.integers(-8, 8, shape))[()]
+                for _ in range(6))
+            b = ErrorBudget(an, ad, at, xn, xd, xt)
+            for got, want in ((b.sigma_atrk, np.sqrt(an + ad + at)),
+                              (b.sigma_xtrk, np.sqrt(xn + xd + xt)),
+                              (b.sigma_fde, np.sqrt((an + ad + at) + (xn + xd + xt)))):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestAtrkVariance:

@@ -373,6 +373,10 @@ def _bad_input_cases(tmp_path):
         "check-radius-overflow": ["check", "--radius", "1e200 km",
                                   "--noise", "1 deg_per_sqrt_h", "--out", out],
         "check-target-overflow": ["check", "--target", "1e308 nmi", "--out", out],
+        "allan-K-overflow": ["allan", "--drift", "1e200 deg_per_h_3_2, 1 h",
+                             "--analytic-out", out],
+        "fit-allan-K-overflow": ["fit-allan", "--tau-max", "1e-300 s",
+                                 "--sigma-max", "1e300 deg_per_h", "--out", out],
         "fit-allan-curve-and-tau-max": ["fit-allan", "--curve", str(curves["interior-max"]),
                                         "--tau-max", "1 s", "--out", out],
         "fit-allan-curve-and-landmark": ["fit-allan", "--curve", str(curves["interior-max"]),
@@ -399,7 +403,8 @@ def _bad_input_cases(tmp_path):
     "allan-gap-trace", "analytic-points-0", "analytic-points-1e15",
     "analytic-points-2**63", "grid-points-1e15", "contour-points-2**63",
     "seed-true", "seed-negative", "check-v-overflow", "check-K-overflow",
-    "check-radius-overflow", "check-target-overflow", "fit-allan-curve-and-tau-max",
+    "check-radius-overflow", "check-target-overflow", "allan-K-overflow",
+    "fit-allan-K-overflow", "fit-allan-curve-and-tau-max",
     "fit-allan-curve-and-landmark", "fit-allan-one-row",
     "fit-allan-bad-number", "fit-allan-nan-sigma", "fit-allan-rate-trace",
     "fit-allan-unordered-taus", "fit-allan-negative-tau", "analytic-points-not-int",

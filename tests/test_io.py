@@ -64,7 +64,7 @@ def _budget():
     for t in times:
         b = fde_sigma(NAV, p, t)
         rows.append([_g(v) for v in (
-            b.t, b.sigma_atrk, b.sigma_xtrk, b.sigma_fde, b.fde95_nmi,
+            t, b.sigma_atrk, b.sigma_xtrk, b.sigma_fde, b.fde95_nmi,
             b.atrk_noise, b.atrk_drift, b.atrk_turnon,
             b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon)])
     header = ["t_h", "sigma_atrk_km", "sigma_xtrk_km", "sigma_fde_km", "fde95_nmi",
