@@ -116,8 +116,9 @@ def default_tau_grid(dt: float, duration: float) -> np.ndarray:
     if hi < lo:
         raise ValueError("record too short for any tau")
     n = max(2, int(round(10 * math.log10(hi / lo))) + 1)
-    taus = np.geomspace(lo, hi, n)
-    mult = np.unique(np.round(taus / dt).astype(int))
+    # the multiples never decrease: np.unique without its import of numpy.ma
+    mult = np.round(np.geomspace(lo, hi, n) / dt).astype(int)
+    mult = mult[np.concatenate(([True], mult[1:] != mult[:-1]))]
     return mult[mult >= 1] * dt
 
 
@@ -143,13 +144,17 @@ def allan_variance_empirical(trace: RateTrace, taus) -> AllanCurve:
     # sample mean first makes that exact in floating point as well.
     theta = np.concatenate(([0.0], np.cumsum(x - x.mean()) * trace.dt))
     sigmas = np.empty(len(taus))
+    buf = np.empty(n)  # every tau's second differences, built in place
     for j, tau in enumerate(taus):
         m_int = _window_length(tau, trace.dt)
         if 2 * m_int > n:
             raise ValueError(f"tau={tau} too large: 2 tau exceeds the record")
-        d = (theta[2 * m_int:] - 2.0 * theta[m_int:n - m_int + 1]
-             + theta[: n - 2 * m_int + 1])
-        avar = np.mean(d * d) / (2.0 * (m_int * trace.dt) ** 2)
+        # d = (theta[2m:] - 2 theta[m:]) + theta[:M], M = n - 2m + 1, rounded in that order
+        d = np.multiply(theta[m_int:n - m_int + 1], 2.0, out=buf[: n - 2 * m_int + 1])
+        np.subtract(theta[2 * m_int:], d, out=d)
+        d += theta[: n - 2 * m_int + 1]
+        d *= d
+        avar = np.mean(d) / (2.0 * (m_int * trace.dt) ** 2)
         sigmas[j] = math.sqrt(avar)
     return AllanCurve(taus=taus, sigmas=sigmas)
 
@@ -210,9 +215,10 @@ def allan_landmarks_analytic(m: GyroErrorModel) -> AllanLandmarks:
     if N <= 0 or K <= 0:
         raise ValueError("landmarks require N > 0 and K > 0")
 
-    # the closed forms sqrt(3) N/K and 1.89 Tc bracket the search
-    tau_min_cf = math.sqrt(3.0) * N / K
-    tau_max_cf = TAU_MAX_OVER_TC * Tc
+    # the closed forms sqrt(3) N/K and 1.89 Tc bracket the search, in numpy
+    # floats: an overflow meets np.errstate, as in allan_variance_analytic
+    tau_min_cf = math.sqrt(3.0) * np.float64(N) / K
+    tau_max_cf = TAU_MAX_OVER_TC * np.float64(Tc)
     lo = min(tau_min_cf, Tc) / 1e3
     hi = max(tau_max_cf, tau_min_cf) * 1e3
     grid = np.geomspace(lo, hi, max(200, int(60 * math.log10(hi / lo))))
@@ -281,8 +287,18 @@ def _drift_tails(model: GyroErrorModel, dt: float, m: int):
     return terms
 
 
+def _second_sum(model: GyroErrorModel, dt: float, size: int) -> np.ndarray:
+    """G(k), k = 0..size-1, as in _second_diff_cov; G does not depend on the
+    window length, so one array serves every tau."""
+    k = np.arange(size)
+    G = model.noise.N ** 2 / dt * k / 2.0
+    for eps, c, _ in _drift_tails(model, dt, 0):
+        G = G + c * (xminus_em(eps * (k + 1)) - xminus_em(2.0 * eps) * k / 2.0)
+    return G
+
+
 def _second_diff_cov(model: GyroErrorModel, dt: float, m: int,
-                     max_lag: int) -> np.ndarray:
+                     max_lag: int, G: np.ndarray | None = None) -> np.ndarray:
     """Cov(d_0, d_l), l = 0..max_lag, of overlapping second differences d_k of
     the integrated rate, in (rad)^2 (angle units).
 
@@ -296,15 +312,15 @@ def _second_diff_cov(model: GyroErrorModel, dt: float, m: int,
     G = c [xminus_em(eps(|k|+1)) - xminus_em(2 eps)|k|/2] + const,
     c = V/(1-q)^2; xminus_em keeps it accurate as eps -> 0.  For l >= 2m the
     terms linear in |k| cancel exactly and each drift leaves the tail
-    -c q^(l-2m+1) (1 - q^m)^4.
+    -c q^(l-2m+1) (1 - q^m)^4.  A given G spans at least min(2m, max_lag + 1)
+    + 2m points.
     """
     lag = np.arange(max_lag + 1)
     head = lag[: 2 * m]
-    k = np.arange(len(head) + 2 * m)
-    G = model.noise.N ** 2 / dt * k / 2.0
+    if G is None:
+        G = _second_sum(model, dt, len(head) + 2 * m)
     cov = np.zeros(max_lag + 1)
     for eps, c, A in _drift_tails(model, dt, m):
-        G = G + c * (xminus_em(eps * (k + 1)) - xminus_em(2.0 * eps) * k / 2.0)
         cov[2 * m:] -= A * np.exp(-eps * (lag[2 * m:] - 2 * m + 1))
     cov[: 2 * m] = -(G[head + 2 * m] - 4.0 * G[head + m] + 6.0 * G[head]
                      - 4.0 * G[np.abs(head - m)] + G[np.abs(head - 2 * m)])
@@ -331,7 +347,8 @@ def estimator_dof(model: GyroErrorModel, dt: float, n_samples: int,
     correlations (range Tc) span many windows.
 
     Var weights the squared covariance at lag l of the M = n - 2m + 1 second
-    differences by (1 - l/M).  Lags below 2m are summed term by term.  From
+    differences by (1 - l/M).  Lags below 2m are summed term by term, from
+    one G (_second_sum) built for all taus.  From
     lag 2m + j - 1 on, j = 1..L = M - 2m, the covariance is the geometric
     tail -dt^2 sum_d A_d e^(-eps_d j) and the weight (L+1-j)/M, so their sum
     is dt^4/M sum_(d,e) A_d A_e T(eps_d + eps_e, L): O(m) work per tau, not
@@ -340,12 +357,14 @@ def estimator_dof(model: GyroErrorModel, dt: float, n_samples: int,
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     m = np.array([_window_length(tau, dt) for tau in taus], dtype=int)
     M = n_samples - 2 * m + 1
+    # G once, over the longest range any tau reads
+    G = _second_sum(model, dt, (np.minimum(2 * m, M) + 2 * m).max(initial=0))
     c0, lagged = np.empty(len(taus)), np.empty(len(taus))
     for j, tau in enumerate(taus):
         if M[j] < 1:
             raise ValueError(f"tau={tau} incompatible with the record")
         h = min(2 * m[j], M[j])
-        cov = _second_diff_cov(model, dt, m[j], h - 1)
+        cov = _second_diff_cov(model, dt, m[j], h - 1, G)
         w = 1.0 - np.arange(h) / M[j]
         c0[j] = cov[0]
         lagged[j] = np.sum(w[1:] * cov[1:] ** 2)

@@ -5,17 +5,19 @@ position-gain of one unit impulse per time bin: the impulse's rate response
 decays geometrically; its heading gain is the rate summed over later bins,
 and its cross-track gain is the heading summed again.  Everything is plain
 cumulative-sum arithmetic; none of the package's bracket expressions appear.
-Three references follow: the scalar shape series, for the package's array
+Four references follow: the scalar shape series, for the package's array
 kernels; the one-step drift and noise operations, for its vectorized rate
-synthesis; and the estimator dof summed over every lag, for its closed-form
-tail.
+synthesis; the estimator dof summed over every lag, for its closed-form
+tail; and the Allan estimator and its dof with all their work done per tau,
+for the kernels that share it across taus.
 """
 
 import math
 
 import numpy as np
 
-from gyrofde.allan import _second_diff_cov
+from gyrofde.allan import (AllanCurve, _drift_pairs, _drift_tails,
+                           _geometric_tail_sum, _second_diff_cov, _window_length)
 from gyrofde.gyro import DriftSpec, NoiseSpec, drift_stationary_std
 
 
@@ -149,3 +151,42 @@ def estimator_dof_direct(model, dt: float, n_samples: int, taus) -> np.ndarray:
         denom = c0 * c0 + 2.0 * np.sum(w[1:] * cov[1:] ** 2)
         nu[j] = M * c0 * c0 / denom
     return nu
+
+
+def allan_variance_empirical_per_tau(trace, taus) -> AllanCurve:
+    """The overlapping estimator with a fresh second-difference array per tau."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    x = trace.samples
+    n = len(x)
+    theta = np.concatenate(([0.0], np.cumsum(x - x.mean()) * trace.dt))
+    sigmas = np.empty(len(taus))
+    for j, tau in enumerate(taus):
+        m = _window_length(tau, trace.dt)
+        if 2 * m > n:
+            raise ValueError(f"tau={tau} too large: 2 tau exceeds the record")
+        d = theta[2 * m:] - 2.0 * theta[m:n - m + 1] + theta[: n - 2 * m + 1]
+        sigmas[j] = math.sqrt(np.mean(d * d) / (2.0 * (m * trace.dt) ** 2))
+    return AllanCurve(taus=taus, sigmas=sigmas)
+
+
+def estimator_dof_per_tau(model, dt: float, n_samples: int, taus) -> np.ndarray:
+    """estimator_dof with G rebuilt for every tau (_second_diff_cov without G)."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    m = np.array([_window_length(tau, dt) for tau in taus], dtype=int)
+    M = n_samples - 2 * m + 1
+    c0, lagged = np.empty(len(taus)), np.empty(len(taus))
+    for j, tau in enumerate(taus):
+        if M[j] < 1:
+            raise ValueError(f"tau={tau} incompatible with the record")
+        h = min(2 * m[j], M[j])
+        cov = _second_diff_cov(model, dt, m[j], h - 1)
+        w = 1.0 - np.arange(h) / M[j]
+        c0[j] = cov[0]
+        lagged[j] = np.sum(w[1:] * cov[1:] ** 2)
+    tails = np.array([_drift_tails(model, dt, mj) for mj in m]).reshape(
+        len(m), len(_drift_pairs(model)), 3)
+    eps, B = tails[:, :, 0], dt * dt * tails[:, :, 2]
+    T = _geometric_tail_sum(eps[:, :, None] + eps[:, None, :],
+                            np.maximum(M - 2 * m, 0)[:, None, None])
+    lagged += np.einsum("jd,je,jde->j", B, B, T) / M
+    return M * c0 * c0 / (c0 * c0 + 2.0 * lagged)

@@ -17,7 +17,8 @@ from gyrofde.allan import (AllanCurve, allan_landmarks_analytic,
 from gyrofde.gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
                           synthesize_rate_trace)
 from gyrofde.units import DEG
-from oracles import estimator_dof_direct
+from oracles import (allan_variance_empirical_per_tau, estimator_dof_direct,
+                     estimator_dof_per_tau)
 
 SEC = 1.0 / 3600.0
 
@@ -435,9 +436,9 @@ def test_estimator_dof_work_per_tau_is_bounded_by_the_window(monkeypatch):
     """Only lags below 2m are built, not all n - 2m + 1."""
     lags = []
 
-    def spy(model, dt, m, max_lag):
+    def spy(model, dt, m, max_lag, G=None):
         lags.append((m, max_lag))
-        return second_diff_cov(model, dt, m, max_lag)
+        return second_diff_cov(model, dt, m, max_lag, G)
 
     second_diff_cov = allan._second_diff_cov
     monkeypatch.setattr(allan, "_second_diff_cov", spy)
@@ -445,6 +446,66 @@ def test_estimator_dof_work_per_tau_is_bounded_by_the_window(monkeypatch):
     estimator_dof(DOF_MODELS["three-drifts"], SEC, 86_400, taus)
     assert [m for m, _ in lags] == list(np.round(taus / SEC).astype(int))
     assert all(max_lag == 2 * m - 1 for m, max_lag in lags)
+
+
+@pytest.mark.parametrize("name", list(DOF_MODELS))
+def test_estimator_dof_is_the_per_tau_loop_bit_for_bit(name, monkeypatch):
+    """One G serves every tau: the dof equals G rebuilt per tau, bit for bit,
+    and _second_sum runs once per call."""
+    sizes = []
+
+    def spy(model, dt, size):
+        sizes.append(size)
+        return second_sum(model, dt, size)
+
+    second_sum = allan._second_sum
+    monkeypatch.setattr(allan, "_second_sum", spy)
+    model, taus = DOF_MODELS[name], default_tau_grid(SEC, 24.0)
+    got = estimator_dof(model, SEC, 86_400, taus)
+    assert len(sizes) == 1
+    monkeypatch.setattr(allan, "_second_sum", second_sum)
+    assert got.tobytes() == estimator_dof_per_tau(model, SEC, 86_400, taus).tobytes()
+
+
+@pytest.mark.parametrize("seed, hours, noise, drifts", [
+    (3, 24.0, 1e-4, ((0.03, 0.05), (0.01, 1.0))),
+    (4, 10.0, 0.0, ((0.03, 0.05), (0.01, 1.0))),
+    (5, 5.0, 5e-4, ()),
+], ids=["24h-noise-two-drifts", "10h-two-drifts", "5h-noise-only"])
+def test_empirical_and_dof_are_the_per_tau_loops_bit_for_bit(seed, hours, noise, drifts):
+    """One difference buffer for every tau leaves every sigma's bits."""
+    model = GyroErrorModel.from_deg(noise, drifts)
+    trace = synthesize_rate_trace(model, hours, SEC, seed=seed)
+    taus = default_tau_grid(SEC, hours)
+    got = allan_variance_empirical(trace, taus)
+    want = allan_variance_empirical_per_tau(trace, taus)
+    assert got.sigmas.tobytes() == want.sigmas.tobytes()
+    n = len(trace.samples)
+    assert (estimator_dof(model, SEC, n, taus).tobytes()
+            == estimator_dof_per_tau(model, SEC, n, taus).tobytes())
+
+
+def test_empty_tau_lists_give_empty_arrays():
+    trace = RateTrace(dt=SEC, samples=np.zeros(100))
+    nu = estimator_dof(FIG3, SEC, 100, [])
+    lo, hi = confidence_band(FIG3, SEC, 100, [])
+    curve = allan_variance_empirical(trace, [])
+    for a in (nu, lo, hi, curve.taus, curve.sigmas):
+        assert a.dtype == float and a.shape == (0,)
+
+
+def test_default_tau_grid_is_unique_of_the_rounded_multiples():
+    """Dropping repeated neighbours is np.unique on the nondecreasing grid."""
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        dt = 10 ** rng.uniform(-4, 1)
+        duration = dt * 10 ** rng.uniform(1, 6)
+        lo, hi = 2.0 * dt, duration / 5.0
+        if hi < lo:
+            continue
+        n = max(2, int(round(10 * math.log10(hi / lo))) + 1)
+        mult = np.unique(np.round(np.geomspace(lo, hi, n) / dt).astype(int))
+        assert np.array_equal(default_tau_grid(dt, duration), mult[mult >= 1] * dt)
 
 
 @pytest.mark.parametrize("a, L", [(1 / 90, 17281), (2e-8, 3), (2e-8, 17281), (1e-5, 1)])

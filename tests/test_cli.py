@@ -375,6 +375,13 @@ def _bad_input_cases(tmp_path):
         "check-target-overflow": ["check", "--target", "1e308 nmi", "--out", out],
         "allan-K-overflow": ["allan", "--drift", "1e200 deg_per_h_3_2, 1 h",
                              "--analytic-out", out],
+        # the landmark search bracket sqrt(3) N/K overflows, or underflows to 0
+        "allan-landmarks-bracket-overflow": [
+            "allan", "--noise", "1e300 deg_per_sqrt_h", "--drift",
+            "1e-300 deg_per_h_3_2, 1 h", "--landmarks-out", str(tmp_path / "l.json")],
+        "allan-landmarks-bracket-zero": [
+            "allan", "--noise", "1e-300 deg_per_sqrt_h", "--drift",
+            "1e300 deg_per_h_3_2, 1 h", "--landmarks-out", str(tmp_path / "l.json")],
         "fit-allan-K-overflow": ["fit-allan", "--tau-max", "1e-300 s",
                                  "--sigma-max", "1e300 deg_per_h", "--out", out],
         "fit-allan-curve-and-tau-max": ["fit-allan", "--curve", str(curves["interior-max"]),
@@ -404,6 +411,7 @@ def _bad_input_cases(tmp_path):
     "analytic-points-2**63", "grid-points-1e15", "contour-points-2**63",
     "seed-true", "seed-negative", "check-v-overflow", "check-K-overflow",
     "check-radius-overflow", "check-target-overflow", "allan-K-overflow",
+    "allan-landmarks-bracket-overflow", "allan-landmarks-bracket-zero",
     "fit-allan-K-overflow", "fit-allan-curve-and-tau-max",
     "fit-allan-curve-and-landmark", "fit-allan-one-row",
     "fit-allan-bad-number", "fit-allan-nan-sigma", "fit-allan-rate-trace",
@@ -426,6 +434,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
         assert "--curve" in err[0]
     if case.endswith("long-field"):  # a bounded prefix of the 200,000-character row
         assert len(err[0]) < 300
+    if case.startswith("allan-landmarks-"):  # numpy's message, not a conversion's
+        assert "encountered in" in err[0]
+        assert not (tmp_path / "l.json").exists()
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -622,6 +633,23 @@ def test_closed_form_commands_load_no_scipy(tmp_path):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     res = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_allan_closed_forms_load_no_numpy_ma(tmp_path):
+    """np.unique imports numpy.ma; the tau grid drops repeats without it."""
+    script = (
+        "import sys\n"
+        "from gyrofde.cli import main\n"
+        "assert main(['allan', '--noise', '0.0001 deg_per_sqrt_h',\n"
+        "             '--drift', '0.03 deg_per_h_3_2, 0.05 h',\n"
+        "             '--analytic-out', 'a.csv', '--landmarks-out', 'l.json']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n")
+    src = str(pathlib.Path(gyrofde.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", script],
                          cwd=tmp_path, env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
 
