@@ -267,6 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
 _MAX_POINTS = 2 ** 62
 
 
+# A step count whose float64 buffer numpy cannot address fails with a
+# ValueError that names no input; at or below this one it is a MemoryError
+_MAX_STEPS = 2 ** 59
+
+
+def _check_steps(span: float, dt: float, flags: str) -> None:
+    n = span / dt
+    if not n <= _MAX_STEPS:
+        raise ConfigError(f"{flags}: {n:.3g} steps of dt, more than the "
+                          f"limit of 2**59")
+
+
 def _logspace_arg(text: str, name: str) -> np.ndarray:
     try:
         lo, hi, n = text.split(",")
@@ -305,6 +317,7 @@ def _cmd_analytic(args) -> int:
 def _cmd_simulate(args) -> int:
     _check_out_dirs(args.out, args.report)
     cfg = load_config(args.config, args)
+    _check_steps(cfg.flight.duration, cfg.flight.dt, "--duration / --dt")
     stride = args.stat_stride
     if stride < 0:
         raise ConfigError(f"--stat-stride: need 0 (auto) or more steps, got {stride}")
@@ -338,6 +351,7 @@ def _cmd_allan(args) -> int:
     trace = RateTrace.from_csv(args.trace) if args.trace else None
     if args.synthesize_trace:
         duration = _quantity(args.trace_duration, "--trace-duration", "time")
+        _check_steps(duration, cfg.flight.dt, "--trace-duration / --dt")
         trace = synthesize_rate_trace(cfg.model, duration, cfg.flight.dt, cfg.seed)
         writes.append((trace.to_csv, args.synthesize_trace))
     if args.analytic_out:

@@ -13,7 +13,10 @@ seed with ``substream`` so results never depend on execution order.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,42 +149,85 @@ def drift_stationary_std(d: DriftSpec) -> float:
     return d.K * math.sqrt(d.Tc / 2.0)
 
 
-def _drift_states(d: DriftSpec, n_steps: int, dt: float,
-                  init_rng: np.random.Generator,
-                  sample_rng: np.random.Generator, turn_on: bool) -> np.ndarray:
-    """States s_0..s_{n-1} held over each step interval (zero-order hold).
+def _load_linear_filter():
+    """The C kernel ``_linear_filter(b, a, x, axis, zi)`` that
+    ``scipy.signal.lfilter`` hands its arguments to, loaded from its extension
+    file alone: importing ``scipy.signal`` loads most of scipy and takes
+    about a second."""
+    import importlib.machinery
+    import importlib.util
+
+    scipy = importlib.util.find_spec("scipy")
+    folder = os.path.join(scipy.submodule_search_locations[0], "signal")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_sigtools" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.signal._sigtools", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module._linear_filter
+    raise ImportError(f"no scipy.signal._sigtools extension in {folder}")
+
+
+@functools.cache
+def _first_order_filter():
+    """(q, x, s) -> y with y_j = q y_{j-1} + x_j from y_{-1} = s.
+
+    The kernel is private to scipy, so it is used only if it loads and
+    reproduces that recursion bit for bit on a small input; otherwise this
+    is ``scipy.signal.lfilter`` itself."""
+    q, x, s = 0.7, np.array([0.3, -1.1, 2.5, -0.0]), -0.4
+    want = np.array(list(itertools.accumulate(x, lambda y, v: q * y + v, initial=s))[1:])
+    try:
+        kernel = _load_linear_filter()
+
+        def run(q, x, s):
+            return kernel(np.array([1.0]), np.array([1.0, -q]), x, -1, np.array([q * s]))[0]
+
+        if run(q, x, s).tobytes() == want.tobytes():
+            return run
+    except (ImportError, AttributeError, TypeError, ValueError):
+        pass  # no file, a file that does not load, or a kernel of another signature
+    from scipy.signal import lfilter
+
+    return lambda q, x, s: lfilter([1.0], [1.0, -q], x, zi=np.array([q * s]))[0]
+
+
+def _add_drift_states(out: np.ndarray, d: DriftSpec, dt: float,
+                      init_rng: np.random.Generator,
+                      sample_rng: np.random.Generator, turn_on: bool) -> None:
+    """Add the states s_0..s_{n-1}, each held over its step interval (zero-order
+    hold), into ``out`` of length n.
 
     s_0 is the turn-on draw from the stationary distribution (or exactly 0,
     with no draw); s_j = s_{j-1} exp(-dt/Tc) + K sqrt(dt) w_j.  The tests pin
     this bit for bit to the stepwise loop of ``tests/oracles.py``.
     """
-    from scipy.signal import lfilter
-
     s0 = drift_stationary_std(d) * float(init_rng.standard_normal()) if turn_on else 0.0
-    if n_steps == 1:
-        return np.array([s0])
-    q = math.exp(-dt / d.Tc)
-    impulses = (d.K * math.sqrt(dt)) * sample_rng.standard_normal(n_steps - 1)
-    tail, _ = lfilter([1.0], [1.0, -q], impulses, zi=np.array([q * s0]))
-    return np.concatenate(([s0], tail))
+    out[0] += s0
+    if len(out) > 1:
+        q = math.exp(-dt / d.Tc)
+        impulses = sample_rng.standard_normal(len(out) - 1)
+        impulses *= d.K * math.sqrt(dt)
+        out[1:] += _first_order_filter()(q, impulses, s0)
 
 
-def _rate_series(m: GyroErrorModel, n_steps: int, dt: float, seed,
+def _rate_series(m: GyroErrorModel, dt: float, seed, out: np.ndarray,
                  prefix: tuple[int, ...] = ()) -> np.ndarray:
-    """Per-step rate error, rad/h, from keyed substreams of ``seed``.
+    """Fill ``out`` with the per-step rate error, rad/h, from keyed substreams
+    of ``seed``, and return it.
 
     Process p's streams are keyed (*prefix, p, 0) for the turn-on draw and
     (*prefix, p, 1) for per-step samples; noise is process 0, drift i is
     process 1+i.  Separating the turn-on draw keeps all in-flight randomness
     identical when only the turn_on flag changes.
     """
-    rate = (m.noise.N / math.sqrt(dt)) * \
-        substream(seed, *prefix, 0, 1).standard_normal(n_steps)
+    substream(seed, *prefix, 0, 1).standard_normal(out=out)
+    out *= m.noise.N / math.sqrt(dt)
     for i, d in enumerate(m.drifts):
-        rate += _drift_states(d, n_steps, dt,
-                              substream(seed, *prefix, 1 + i, 0),
-                              substream(seed, *prefix, 1 + i, 1), m.turn_on)
-    return rate
+        _add_drift_states(out, d, dt, substream(seed, *prefix, 1 + i, 0),
+                          substream(seed, *prefix, 1 + i, 1), m.turn_on)
+    return out
 
 
 def synthesize_rate_trace(m: GyroErrorModel, duration: float, dt: float,
@@ -198,4 +244,4 @@ def synthesize_rate_trace(m: GyroErrorModel, duration: float, dt: float,
     if n is None:
         raise ValueError(f"dt={dt!r} h does not divide the trace duration "
                          f"{duration!r} h into whole steps")
-    return RateTrace(dt=dt, samples=_rate_series(m, n, dt, seed))
+    return RateTrace(dt=dt, samples=_rate_series(m, dt, seed, np.empty(n)))

@@ -57,33 +57,46 @@ class EnsembleStats:
                   *self.std.reshape(2, -1))
 
 
+def _flight_errors(m: GyroErrorModel, p: FlightProfile, seed, idx: np.ndarray,
+                   buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (axis x len(idx)) with one flight's along- and cross-track
+    errors (km) at the step indices ``idx``, which start at 0, where both
+    are exact zeros.  ``buf`` (n_steps entries) holds each axis's rate, then
+    its angle sums, in place."""
+    dt = p.dt
+    at = idx[1:] - 1
+    out[:, 0] = 0.0
+    for axis in range(2):
+        _rate_series(m, dt, seed, buf, prefix=(axis,))
+        np.cumsum(buf, out=buf)
+        buf *= dt  # dtheta
+        if axis == 0:
+            out[0, 1:] = p.R * buf[at]
+        else:
+            np.cumsum(buf, out=buf)
+            out[1, 1:] = buf[at] * (p.v * dt)
+    return out
+
+
 def simulate_flight(m: GyroErrorModel, p: FlightProfile,
                     seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One flight's times, along- and cross-track errors (km): n_steps+1 entries
     each, from exact zeros.  ``seed`` is an int or a keyed SeedSequence."""
-    n, dt = p.n_steps, p.dt
-    errs = []
-    for axis in range(2):
-        rate = _rate_series(m, n, dt, seed, prefix=(axis,))
-        dtheta = np.cumsum(rate) * dt
-        if axis == 0:
-            err = p.R * dtheta
-        else:
-            err = np.cumsum(dtheta) * (p.v * dt)
-        errs.append(np.concatenate(([0.0], err)))
-    times = np.arange(n + 1) * dt
-    return times, errs[0], errs[1]
+    n = p.n_steps
+    idx = np.arange(n + 1)
+    atrk, xtrk = _flight_errors(m, p, seed, idx, np.empty(n), np.empty((2, n + 1)))
+    return idx * p.dt, atrk, xtrk
 
 
 def _group_accumulators(args) -> np.ndarray:
     """The (s, ss) x axis x time sums and sums of squares of one group's
-    flight errors at the stat indices."""
+    flight errors at the stat indices, every flight integrated in one buffer."""
     m, p, g, n_flights, master_seed, idx = args
     sums = np.zeros((2, 2, len(idx)))
+    buf, v = np.empty(p.n_steps), np.empty((2, len(idx)))
     for i in range(n_flights):
         key = np.random.SeedSequence(entropy=master_seed, spawn_key=(g, i))
-        _, atrk, xtrk = simulate_flight(m, p, key)
-        v = np.array([atrk[idx], xtrk[idx]])
+        _flight_errors(m, p, key, idx, buf, v)
         sums[0] += v
         sums[1] += v * v
     return sums

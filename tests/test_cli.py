@@ -346,6 +346,10 @@ def _bad_input_cases(tmp_path):
                                          "--out", out],
         "allan-trace-duration-not-whole-steps": ["allan", "--synthesize-trace", out,
                                                  "--trace-duration", "10.6 s"],
+        "simulate-dt-1e-300": ["simulate", "--duration", "10 s", "--dt", "1e-300 s",
+                               "--out", out],
+        "allan-dt-1e-300": ["allan", "--dt", "1e-300 s", "--trace-duration", "10 s",
+                            "--synthesize-trace", out],
         "simulate-groups-0": ["simulate", "--groups", "0", "--out", out],
         "simulate-groups-1e15": ["simulate", "--groups", str(10 ** 15), "--out", out],
         "simulate-flights-1": ["simulate", "--flights", "1", "--out", out],
@@ -404,6 +408,7 @@ def _bad_input_cases(tmp_path):
 
 
 @pytest.mark.parametrize("case", [
+    "simulate-dt-1e-300", "allan-dt-1e-300",
     "simulate-groups-0", "simulate-groups-1e15", "simulate-flights-1",
     "simulate-workers-0", "simulate-stat-stride-negative", "check-negative-target",
     "grid-zero-points", "contour-zero-points", "allan-short-trace", "allan-nan-trace",
@@ -432,6 +437,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
         assert "out of numeric range" in err[0]
     if case.startswith("fit-allan-curve-and-"):
         assert "--curve" in err[0]
+    if case.endswith("dt-1e-300"):  # the flags and the step limit, not numpy's size
+        flags = "--duration" if case.startswith("simulate") else "--trace-duration"
+        assert f"{flags} / --dt:" in err[0] and "2**59" in err[0]
     if case.endswith("long-field"):  # a bounded prefix of the 200,000-character row
         assert len(err[0]) < 300
     if case.startswith("allan-landmarks-"):  # numpy's message, not a conversion's
@@ -600,9 +608,9 @@ def test_zero_drift_with_huge_Tc_leaves_the_analytic_allan_curve(tmp_path, monke
 
 def test_closed_form_commands_load_no_scipy(tmp_path):
     """import gyrofde.cli and every command that needs no sampling or dof
-    band stays clear of scipy (its import dominates a cold start).  The
-    report's chi-square band needs scipy.special, not scipy.stats: a
-    noise-only simulate, which runs no drift recursion, loads no scipy.stats."""
+    band stays clear of scipy (its import dominates a cold start).  A drift
+    synthesis loads lfilter's kernel alone, not scipy.signal, and the
+    report's chi-square band needs scipy.special, not scipy.stats."""
     argvs = [
         ["check", "--noise", "0.005 deg_per_sqrt_h",
          "--drift", "0.01 deg_per_h_3_2, 1 h"],
@@ -624,11 +632,21 @@ def test_closed_form_commands_load_no_scipy(tmp_path):
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert main(argv) == 0, argv\n"
         "    assert not scipy_modules(), (argv, scipy_modules())\n"
-        "assert main(['simulate', '--noise', '0.005 deg_per_sqrt_h', '--duration',\n"
-        "             '0.01 h', '--groups', '2', '--flights', '3', '--out', 's.csv',\n"
-        "             '--report', 'r.json']) == 0\n"
-        "stats = [k for k in scipy_modules() if k.startswith('scipy.stats')]\n"
-        "assert not stats, stats\n")
+        "def check_drift_synthesis(argv):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded = {'scipy.signal', 'scipy.stats', 'scipy.linalg'} & set(sys.modules)\n"
+        "    assert not loaded, (argv, loaded)\n"
+        "check_drift_synthesis(['allan', '--noise', '0.0001 deg_per_sqrt_h', '--drift',\n"
+        "                       '0.03 deg_per_h_3_2, 0.05 h', '--trace-duration', '1 h',\n"
+        "                       '--synthesize-trace', 't.csv'])\n"
+        "for noise_only in (True, False):\n"
+        "    drift = [] if noise_only else ['--drift', '0.01 deg_per_h_3_2, 1 h']\n"
+        "    check_drift_synthesis(['simulate', '--noise', '0.005 deg_per_sqrt_h', *drift,\n"
+        "                           '--duration', '0.01 h', '--groups', '2', '--flights',\n"
+        "                           '3', '--out', 's.csv', '--report', 'r.json'])\n"
+        "    public = [k for k in scipy_modules() if k.count('.') == 1\n"
+        "              and not k.startswith(('scipy._', 'scipy.version'))]\n"
+        "    assert public == ['scipy.special'], public\n")
     src = str(pathlib.Path(gyrofde.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

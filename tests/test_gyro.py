@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gyrofde import gyro
 from gyrofde.gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
                           drift_stationary_std, substream, synthesize_rate_trace)
 from gyrofde.units import DEG
@@ -235,3 +236,62 @@ def test_rate_trace_from_csv_rejects_bad_rows(tmp_path, rows, line, what):
     path.write_text("t_h,rate_deg_per_h\n" + rows)
     with pytest.raises(ValueError, match=f"trace.csv:{line}: {what}"):
         RateTrace.from_csv(path)
+
+
+@pytest.mark.parametrize("n", [1, 2, 86_400])
+@pytest.mark.parametrize("s", [0.37, -1.9, 0.0])
+def test_first_order_filter_is_lfilter_bit_for_bit(n, s):
+    """The kernel loaded without scipy.signal is lfilter's, bit for bit."""
+    from scipy.signal import lfilter
+    kernel = gyro._load_linear_filter()
+    rng = np.random.default_rng(n)
+    for q in rng.uniform(0.0, 1.0, 5):
+        x = rng.standard_normal(n)
+        want, _ = lfilter([1.0], [1.0, -q], x, zi=np.array([q * s]))
+        got, _ = kernel(np.array([1.0]), np.array([1.0, -q]), x, -1, np.array([q * s]))
+        assert got.tobytes() == want.tobytes()
+        assert gyro._first_order_filter()(q, x, s).tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def fresh_filter():
+    gyro._first_order_filter.cache_clear()
+    yield
+    gyro._first_order_filter.cache_clear()
+
+
+@pytest.mark.parametrize("fault", ["missing-file", "fails-check"])
+def test_filter_falls_back_to_lfilter_with_the_same_bytes(tmp_path, monkeypatch,
+                                                          fresh_filter, fault):
+    """A kernel that does not load, or loads and computes something else,
+    is replaced by scipy.signal.lfilter; the artifacts keep their bytes."""
+    import importlib.machinery
+
+    import scipy.signal
+
+    from gyrofde.budget import FlightProfile
+    from gyrofde.montecarlo import run_ensemble
+    m = GyroErrorModel.from_deg(0.005, ((0.01, 1.0), (0.02, 0.3)))
+
+    def artifacts(tag):
+        synthesize_rate_trace(m, 0.5, SEC, seed=4).to_csv(tmp_path / f"t-{tag}.csv")
+        run_ensemble(m, FlightProfile(duration=0.1), 3, 2, 6, stat_stride=17).to_csv(
+            tmp_path / f"e-{tag}.csv")
+        return [(tmp_path / f"{k}-{tag}.csv").read_bytes() for k in "te"]
+
+    kernel = artifacts("kernel")
+    gyro._first_order_filter.cache_clear()
+    if fault == "missing-file":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError):
+            gyro._load_linear_filter()
+    else:  # one ulp off
+        kernel_fn = gyro._load_linear_filter()
+        monkeypatch.setattr(gyro, "_load_linear_filter", lambda: lambda *args: (
+            np.nextafter(kernel_fn(*args)[0], np.inf), None))
+    calls = []
+    lfilter = scipy.signal.lfilter
+    monkeypatch.setattr(scipy.signal, "lfilter",
+                        lambda *a, **k: calls.append(1) or lfilter(*a, **k))
+    assert artifacts("fallback") == kernel
+    assert calls

@@ -240,3 +240,37 @@ class TestPhysicalProperties:
         for ax in (0, 1):
             a, b = pooled[1e-3][ax], pooled[5e-4][ax]
             assert abs(a - b) / b < 0.01
+
+
+@pytest.mark.parametrize("m", [
+    GyroErrorModel.from_deg(0.005),
+    GyroErrorModel.from_deg(0.005, ((0.01, 1.0),)),
+    GyroErrorModel.from_deg(0.005, ((0.01, 1.0),), turn_on=False),
+    GyroErrorModel.from_deg(0.005, ((0.01, 1.0), (0.03, 0.02))),
+    GyroErrorModel.from_deg(0.005, ((0.01, 1.0), (0.03, 0.02)), turn_on=False),
+    GyroErrorModel(),
+    GyroErrorModel.from_deg(0.0, ((0.0, 1.0),), turn_on=False),
+], ids=["noise", "one-drift", "one-drift-cold", "two-drifts", "two-drifts-cold",
+        "zero", "zero-drift-cold"])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_simulate_flight_is_the_ensemble_path_at_every_index(m, stride, monkeypatch):
+    """What run_ensemble accumulates for a flight, from one buffer reused
+    across flights and axes, is simulate_flight's errors at the stat
+    indices, signed zeros included."""
+    import gyrofde.montecarlo as mc
+    seen = []
+    errors = mc._flight_errors
+    monkeypatch.setattr(mc, "_flight_errors",
+                        lambda *args: seen.append(errors(*args).copy()) or seen[-1])
+    p = FlightProfile(duration=0.05, dt=SEC)
+    stats = run_ensemble(m, p, 3, 2, 19, stat_stride=stride)
+    monkeypatch.undo()
+    if stride == 1 and m == GyroErrorModel():  # 0 x a negative draw: -0.0 early on
+        assert any(np.signbit(v).any() for v in seen)
+    idx = np.rint(stats.times / p.dt).astype(int)
+    assert len(seen) == 6
+    for k, v in enumerate(seen):
+        g, i = divmod(k, 3)
+        times, atrk, xtrk = simulate_flight(m, p, keyed(19, g, i))
+        assert times[idx].tobytes() == stats.times.tobytes()
+        assert np.array([atrk[idx], xtrk[idx]]).tobytes() == v.tobytes()
