@@ -356,6 +356,8 @@ def _cmd_allan(args) -> int:
         writes.append((trace.to_csv, args.synthesize_trace))
     if args.analytic_out:
         dt, dur = cfg.flight.dt, cfg.flight.duration
+        # the tau grid counts its multiples of dt in int64
+        _check_steps(dur, dt, "--duration / --dt")
         taus = allan_mod.default_tau_grid(dt, dur)
         curve = allan_mod.AllanCurve(
             taus=taus, sigmas=np.sqrt(allan_mod.allan_variance_analytic(cfg.model, taus)))

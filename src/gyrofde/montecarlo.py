@@ -187,19 +187,6 @@ class ComparisonReport:
             }
         write_json(path, doc)
 
-    def _at(self, values: np.ndarray, t: float, axis: str) -> float:
-        """``values`` of ``axis`` ("ATRK" or "XTRK") at the time nearest t."""
-        if axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-        j = int(np.argmin(np.abs(self.times - t)))
-        return float(values[AXES.index(axis), j])
-
-    def coverage_at(self, t: float, axis: str) -> float:
-        return self._at(self.coverage, t, axis)
-
-    def pooled_rel_dev_at(self, t: float, axis: str) -> float:
-        return self._at(self.pooled_rel_dev, t, axis)
-
 
 def compare_to_analytic(stats: EnsembleStats, m: GyroErrorModel,
                         p: FlightProfile,

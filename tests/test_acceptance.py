@@ -171,11 +171,10 @@ def test_criterion_6_monte_carlo_validation():
     rep = compare_to_analytic(stats, BENCHMARK, P10, confidence=0.95)
     checks = []
     details = []
-    for t in (2.5, 5.0, 10.0):
-        ca = rep.coverage_at(t, "ATRK")
-        cx = rep.coverage_at(t, "XTRK")
-        pa = rep.pooled_rel_dev_at(t, "ATRK")
-        px = rep.pooled_rel_dev_at(t, "XTRK")
+    for t, j in ((2.5, 10), (5.0, 20), (10.0, 40)):  # stat times every 0.25 h
+        assert rep.times[j] == pytest.approx(t)
+        ca, cx = rep.coverage[:, j]  # ATRK, XTRK
+        pa, px = rep.pooled_rel_dev[:, j]
         checks += [ca >= 0.8, cx >= 0.8, abs(pa) < 0.10, abs(px) < 0.10]
         details.append(f"t={t}: cover {ca:.1f}/{cx:.1f} pooled {pa:+.3f}/{px:+.3f}")
     elapsed = time.time() - t0

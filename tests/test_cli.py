@@ -350,6 +350,10 @@ def _bad_input_cases(tmp_path):
                                "--out", out],
         "allan-dt-1e-300": ["allan", "--dt", "1e-300 s", "--trace-duration", "10 s",
                             "--synthesize-trace", out],
+        # the analytic tau grid's multiples of dt would overflow int64
+        "allan-analytic-dt-1e-300": ["allan", "--dt", "1e-300 s", "--analytic-out", out],
+        "allan-analytic-duration-1e300": ["allan", "--duration", "1e300 h",
+                                          "--analytic-out", out],
         "simulate-groups-0": ["simulate", "--groups", "0", "--out", out],
         "simulate-groups-1e15": ["simulate", "--groups", str(10 ** 15), "--out", out],
         "simulate-flights-1": ["simulate", "--flights", "1", "--out", out],
@@ -408,7 +412,8 @@ def _bad_input_cases(tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "simulate-dt-1e-300", "allan-dt-1e-300",
+    "simulate-dt-1e-300", "allan-dt-1e-300", "allan-analytic-dt-1e-300",
+    "allan-analytic-duration-1e300",
     "simulate-groups-0", "simulate-groups-1e15", "simulate-flights-1",
     "simulate-workers-0", "simulate-stat-stride-negative", "check-negative-target",
     "grid-zero-points", "contour-zero-points", "allan-short-trace", "allan-nan-trace",
@@ -437,8 +442,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
         assert "out of numeric range" in err[0]
     if case.startswith("fit-allan-curve-and-"):
         assert "--curve" in err[0]
-    if case.endswith("dt-1e-300"):  # the flags and the step limit, not numpy's size
-        flags = "--duration" if case.startswith("simulate") else "--trace-duration"
+    if case.startswith(("simulate-dt-", "allan-dt-", "allan-analytic-")):
+        # the flags and the step limit, not numpy's size or cast
+        flags = "--trace-duration" if case == "allan-dt-1e-300" else "--duration"
         assert f"{flags} / --dt:" in err[0] and "2**59" in err[0]
     if case.endswith("long-field"):  # a bounded prefix of the 200,000-character row
         assert len(err[0]) < 300
