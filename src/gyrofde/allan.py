@@ -106,7 +106,7 @@ def allan_variance_analytic(m: GyroErrorModel, tau) -> np.ndarray | float:
     for K, Tc in _drift_pairs(m):
         K, Tc = np.float64(K), np.float64(Tc)
         drift = drift + K * K * Tc ** 3 * atrk_inflight_shape(tau / Tc)
-    return (np.float64(m.noise.N) ** 2 / tau + drift / (tau * tau))[()]
+    return (np.float64(m.N) ** 2 / tau + drift / (tau * tau))[()]
 
 
 def default_tau_grid(dt: float, duration: float) -> np.ndarray:
@@ -211,7 +211,7 @@ def allan_landmarks_analytic(m: GyroErrorModel) -> AllanLandmarks:
     if len(m.drifts) != 1:
         raise ValueError("landmark extraction needs exactly one drift process")
     d = m.drifts[0]
-    N, K, Tc = m.noise.N, d.K, d.Tc
+    N, K, Tc = m.N, d.K, d.Tc
     if N <= 0 or K <= 0:
         raise ValueError("landmarks require N > 0 and K > 0")
 
@@ -291,7 +291,7 @@ def _second_sum(model: GyroErrorModel, dt: float, size: int) -> np.ndarray:
     """G(k), k = 0..size-1, as in _second_diff_cov; G does not depend on the
     window length, so one array serves every tau."""
     k = np.arange(size)
-    G = model.noise.N ** 2 / dt * k / 2.0
+    G = model.N ** 2 / dt * k / 2.0
     for eps, c, _ in _drift_tails(model, dt, 0):
         G = G + c * (xminus_em(eps * (k + 1)) - xminus_em(2.0 * eps) * k / 2.0)
     return G

@@ -151,7 +151,7 @@ def fde_sigma(m: GyroErrorModel, p: FlightProfile, t) -> ErrorBudget:
     outside = ~((0.0 <= t) & (t <= p.duration * (1 + 1e-12)))
     if outside.any():
         raise ValueError(f"t={t[outside][0]} outside flight duration {p.duration}")
-    return _budget(m.noise.N, _drift_pairs(m), m.turn_on, p.R, p.v, t)
+    return _budget(m.N, _drift_pairs(m), m.turn_on, p.R, p.v, t)
 
 
 def budget_series_to_csv(path, m: GyroErrorModel, p: FlightProfile,

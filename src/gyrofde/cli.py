@@ -32,8 +32,7 @@ from . import allan as allan_mod
 from . import tradestudy as ts
 from ._io import write_json
 from .budget import FlightProfile, budget_series_to_csv
-from .gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
-                   synthesize_rate_trace)
+from .gyro import DriftSpec, GyroErrorModel, RateTrace, synthesize_rate_trace
 from .montecarlo import compare_to_analytic, run_ensemble
 from .units import DEG, HOUR_S, UnitError, parse_quantity
 
@@ -117,9 +116,9 @@ def parse_config(doc: dict, overrides: argparse.Namespace | None = None) -> RunC
     if "turn_on" in doc:
         model["turn_on"] = doc["turn_on"]
     if "N" in doc:
-        N = _quantity(doc["N"], "N", "arw")
-        try:
-            model["noise"] = NoiseSpec(N)
+        model["N"] = _quantity(doc["N"], "N", "arw")
+        try:  # checked here, so that a bad N is reported before any drift error
+            GyroErrorModel(model["N"])
         except ValueError as e:
             raise ConfigError(f"N: {e}") from None
     for i, dnode in enumerate(doc.get("drifts", [])):
@@ -426,7 +425,7 @@ def _cmd_check(args) -> int:
     res = ts.check_requirement(cfg.model, _target(args, cfg))
     notes = []
     m = cfg.model
-    if (len(m.drifts) == 1 and 0.5 < m.noise.N / (0.005 * DEG) < 2.0
+    if (len(m.drifts) == 1 and 0.5 < m.N / (0.005 * DEG) < 2.0
             and 0.5 < m.drifts[0].K / (0.01 * DEG) < 2.0
             and 0.5 < m.drifts[0].Tc < 2.0):
         notes.append(_BENCHMARK_NOTE)

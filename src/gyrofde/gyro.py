@@ -1,7 +1,8 @@
 """Statistical gyroscope error model and seeded rate-error synthesis.
 
-The measured rate error is white noise plus one or more exponentially
-correlated (first-order Markov) drift processes:
+The measured rate error of a ``GyroErrorModel(N, drifts, turn_on)`` is white
+noise of amplitude N plus one or more exponentially correlated (first-order
+Markov) drift processes ``DriftSpec(K, Tc)``:
 
     noise sample          w_N / sqrt(dt),        w_N ~ N(0, N^2)
     drift state update    s <- s exp(-dt/Tc) + w_K sqrt(dt),  w_K ~ N(0, K^2)
@@ -17,7 +18,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from ._io import read_csv, write_csv
 from .units import DEG
 
 __all__ = [
-    "NoiseSpec", "DriftSpec", "GyroErrorModel", "RateTrace",
+    "DriftSpec", "GyroErrorModel", "RateTrace",
     "substream", "drift_stationary_std", "synthesize_rate_trace",
 ]
 
@@ -36,17 +37,6 @@ def _whole_steps(span: float, dt: float) -> int | None:
     n = span / dt
     k = round(n) if math.isfinite(n) else 0
     return k if k >= 1 and abs(n - k) <= 1e-9 * n else None
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Angle-random-walk amplitude N, rad/sqrt(h)."""
-
-    N: float
-
-    def __post_init__(self):
-        if not (self.N >= 0.0 and math.isfinite(self.N)):
-            raise ValueError(f"N must be finite and >= 0, got {self.N}")
 
 
 @dataclass(frozen=True)
@@ -65,18 +55,21 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class GyroErrorModel:
-    """Noise plus an ordered list of drift processes.
+    """Angle-random-walk amplitude N (rad/sqrt(h)) plus an ordered list of
+    drift processes.
 
     ``turn_on`` selects whether each drift state starts from its stationary
     distribution (a gyroscope switched on with residual drift history) or
     from exactly zero.
     """
 
-    noise: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.0))
+    N: float = 0.0
     drifts: tuple[DriftSpec, ...] = ()
     turn_on: bool = True
 
     def __post_init__(self):
+        if not (self.N >= 0.0 and math.isfinite(self.N)):
+            raise ValueError(f"N must be finite and >= 0, got {self.N}")
         object.__setattr__(self, "drifts", tuple(self.drifts))
 
     @classmethod
@@ -84,7 +77,7 @@ class GyroErrorModel:
                  drifts_deg: tuple[tuple[float, float], ...] = (),
                  turn_on: bool = True) -> "GyroErrorModel":
         """Convenience constructor taking N in deg/sqrt(h) and (K deg/h^1.5, Tc h)."""
-        return cls(NoiseSpec(N_deg_sqrt_h * DEG),
+        return cls(N_deg_sqrt_h * DEG,
                    tuple(DriftSpec(k * DEG, tc) for k, tc in drifts_deg),
                    turn_on)
 
@@ -223,7 +216,7 @@ def _rate_series(m: GyroErrorModel, dt: float, seed, out: np.ndarray,
     identical when only the turn_on flag changes.
     """
     substream(seed, *prefix, 0, 1).standard_normal(out=out)
-    out *= m.noise.N / math.sqrt(dt)
+    out *= m.N / math.sqrt(dt)
     for i, d in enumerate(m.drifts):
         _add_drift_states(out, d, dt, substream(seed, *prefix, 1 + i, 0),
                           substream(seed, *prefix, 1 + i, 1), m.turn_on)

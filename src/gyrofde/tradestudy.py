@@ -14,7 +14,7 @@ import numpy as np
 
 from ._io import write_csv, write_json
 from .budget import ErrorBudget, FlightProfile, _budget, fde_sigma
-from .gyro import DriftSpec, GyroErrorModel, NoiseSpec
+from .gyro import DriftSpec, GyroErrorModel
 from .units import DEG, NMI_KM
 
 __all__ = [
@@ -51,10 +51,11 @@ def _one_drift_budget(N, K, Tc, r: RequirementTarget) -> ErrorBudget:
 
 
 def _check_specs(N, K, Tc) -> None:
-    """Reject what the noise and drift specs reject, in a float or a range: a
-    range holds a NaN, negative or infinite value iff its min or max does."""
+    """Reject what the model and drift specs reject, N before K and Tc, in a
+    float or a range: a range holds a NaN, negative or infinite value iff its
+    min or max does."""
     for ext in (np.min, np.max):
-        NoiseSpec(float(ext(N, initial=0.0)))
+        GyroErrorModel(float(ext(N, initial=0.0)))
         DriftSpec(float(ext(K, initial=0.0)), Tc)
 
 
@@ -68,16 +69,8 @@ class ComplianceResult:
         return bool(self.budget.fde95_km <= self.target.fde95)
 
     @property
-    def margin_km(self) -> float:
-        return self.target.fde95 - self.budget.fde95_km
-
-    @property
-    def fde95_nmi(self) -> float:
-        return self.budget.fde95_nmi
-
-    @property
     def margin_nmi(self) -> float:
-        return self.margin_km / NMI_KM
+        return (self.target.fde95 - self.budget.fde95_km) / NMI_KM
 
 
 def check_requirement(m: GyroErrorModel, r: RequirementTarget) -> ComplianceResult:
@@ -157,7 +150,7 @@ def compliance_to_json(path, res: ComplianceResult,
     b = res.budget
     doc = {
         "pass": res.passed,
-        "fde95_nmi": res.fde95_nmi,
+        "fde95_nmi": b.fde95_nmi,
         "margin_nmi": res.margin_nmi,
         "target_nmi": res.target.fde95 / NMI_KM,
         "evaluate_at_h": res.target.flight.duration,

@@ -17,6 +17,7 @@ Conventions worth spelling out once:
 from __future__ import annotations
 
 import math
+import sys
 
 DEG = math.pi / 180.0
 NMI_KM = 1.852
@@ -45,7 +46,7 @@ KNOWN_UNITS = frozenset(_UNITS)
 
 class UnitError(ValueError):
     """Malformed quantity, unknown unit tag, a tag of the wrong dimension, or
-    a value that overflows its canonical unit."""
+    a value that overflows its canonical unit or is subnormal in it."""
 
 
 def parse_quantity(text: str, dimension: str) -> float:
@@ -69,6 +70,8 @@ def parse_quantity(text: str, dimension: str) -> float:
         raise UnitError(f"expected a {dimension} quantity, got {parts[1]!r} "
                         f"({unit_dimension})")
     canonical = value * scale
-    if not math.isfinite(canonical):  # 1e308 nmi is finite, in km it is not
+    # 1e308 nmi is finite, in km it is not; 1e-320 s is a subnormal in h and
+    # keeps only a few of its digits
+    if not math.isfinite(canonical) or 0.0 < abs(canonical) < sys.float_info.min:
         raise UnitError(f"value out of numeric range in {text!r}")
     return canonical

@@ -18,7 +18,7 @@ import numpy as np
 
 from gyrofde.allan import (AllanCurve, _drift_pairs, _drift_tails,
                            _geometric_tail_sum, _second_diff_cov, _window_length)
-from gyrofde.gyro import DriftSpec, NoiseSpec, drift_stationary_std
+from gyrofde.gyro import DriftSpec, drift_stationary_std
 
 
 def atrk_drift_var(K: float, Tc: float, R: float, t: float, n: int = 10_000) -> float:
@@ -128,11 +128,11 @@ def step_drift(state: float, d: DriftSpec, dt: float,
     return state * math.exp(-dt / d.Tc) + (d.K * math.sqrt(dt)) * float(rng.standard_normal())
 
 
-def noise_sample(n: NoiseSpec, dt: float, rng: np.random.Generator) -> float:
+def noise_sample(N: float, dt: float, rng: np.random.Generator) -> float:
     """One white-noise rate sample with std N/sqrt(dt)."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    return (n.N / math.sqrt(dt)) * float(rng.standard_normal())
+    return (N / math.sqrt(dt)) * float(rng.standard_normal())
 
 
 def estimator_dof_direct(model, dt: float, n_samples: int, taus) -> np.ndarray:

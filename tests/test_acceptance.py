@@ -25,8 +25,7 @@ from gyrofde.allan import (allan_landmarks_analytic, allan_variance_analytic,
                            allan_variance_empirical, confidence_band,
                            default_tau_grid)
 from gyrofde.budget import FlightProfile, fde_sigma
-from gyrofde.gyro import (DriftSpec, GyroErrorModel, NoiseSpec,
-                          synthesize_rate_trace)
+from gyrofde.gyro import DriftSpec, GyroErrorModel, synthesize_rate_trace
 from gyrofde.montecarlo import compare_to_analytic, run_ensemble
 from gyrofde.tradestudy import RequirementTarget, solve_K
 from gyrofde.units import DEG
@@ -63,7 +62,7 @@ def test_criterion_2_allan_maximum_landmarks():
     for _ in range(20):
         K = 10.0 ** rng.uniform(-3, -1) * DEG
         Tc = 10.0 ** rng.uniform(-1, 1.5)
-        drift_only = GyroErrorModel(NoiseSpec(0.0), (DriftSpec(K, Tc),))
+        drift_only = GyroErrorModel(0.0, (DriftSpec(K, Tc),))
 
         def neg_sigma(logtau):
             return -math.sqrt(allan_variance_analytic(drift_only, math.exp(logtau)))
@@ -101,7 +100,7 @@ def test_criterion_3_algebraic_consistency():
         K = 10.0 ** rng.uniform(-4, -1) * DEG
         Tc = 10.0 ** rng.uniform(-2, 1.7)
         t = 10.0 ** rng.uniform(-3, 1.5)
-        m = GyroErrorModel(NoiseSpec(0.0), (DriftSpec(K, Tc),), turn_on=True)
+        m = GyroErrorModel(0.0, (DriftSpec(K, Tc),), turn_on=True)
         b = fde_sigma(m, FlightProfile(duration=max(t, 1.0)), t)
         # along-track split terms against the combined drift form
         drift, turnon = b.atrk_drift, b.atrk_turnon
@@ -126,7 +125,7 @@ def test_criterion_4_small_time_oracles():
     for Tc in (0.8, 5.0):
         for frac in (1 / 100, 1 / 300):
             t = Tc * frac
-            m = GyroErrorModel(NoiseSpec(0.0), (DriftSpec(K, Tc),))
+            m = GyroErrorModel(0.0, (DriftSpec(K, Tc),))
             b = fde_sigma(m, P10, t)
             da, dx = b.atrk_drift, b.xtrk_drift
             worst_taylor_a = max(worst_taylor_a,

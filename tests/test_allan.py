@@ -14,8 +14,7 @@ from gyrofde.allan import (AllanCurve, allan_landmarks_analytic,
                            allan_variance_analytic, allan_variance_empirical,
                            confidence_band, default_tau_grid, estimator_dof,
                            identify_from_max)
-from gyrofde.gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
-                          synthesize_rate_trace)
+from gyrofde.gyro import DriftSpec, GyroErrorModel, RateTrace, synthesize_rate_trace
 from gyrofde.units import DEG
 from oracles import (allan_variance_empirical_per_tau, estimator_dof_direct,
                      estimator_dof_per_tau)
@@ -31,14 +30,14 @@ class TestAnalytic:
         assert sigma / DEG == pytest.approx(0.03, rel=1e-3)
 
     def test_noise_only_is_N2_over_tau(self):
-        m = GyroErrorModel(NoiseSpec(0.004), ())
+        m = GyroErrorModel(0.004, ())
         for tau in (1e-4, 0.3, 7.0):
             assert allan_variance_analytic(m, tau) == 0.004 ** 2 / tau
 
     def test_drift_short_tau_limit(self):
         # K^2 tau / 3 within 1% for tau <= Tc/100
         d = DriftSpec(K=0.02, Tc=5.0)
-        m = GyroErrorModel(NoiseSpec(0.0), (d,))
+        m = GyroErrorModel(0.0, (d,))
         for tau in (d.Tc / 100, d.Tc / 1000):
             assert allan_variance_analytic(m, tau) == pytest.approx(
                 d.K ** 2 * tau / 3, rel=0.01)
@@ -49,17 +48,17 @@ class TestAnalytic:
 
     def test_multi_drift_additivity_exact(self):
         d1, d2 = DriftSpec(0.02, 0.3), DriftSpec(0.005, 4.0)
-        noise = NoiseSpec(0.001)
-        both = GyroErrorModel(noise, (d1, d2))
+        N = 0.001
+        both = GyroErrorModel(N, (d1, d2))
         taus = np.geomspace(1e-3, 50, 40)
         total = allan_variance_analytic(both, taus)
-        parts = (allan_variance_analytic(GyroErrorModel(noise, (d1,)), taus)
-                 + allan_variance_analytic(GyroErrorModel(NoiseSpec(0.0), (d2,)), taus))
+        parts = (allan_variance_analytic(GyroErrorModel(N, (d1,)), taus)
+                 + allan_variance_analytic(GyroErrorModel(0.0, (d2,)), taus))
         np.testing.assert_allclose(total, parts, rtol=1e-15)
 
     def test_loglog_slopes(self):
         # -1/2 (noise), +1/2 (drift rise), -1/2 (past Tc), within 0.05
-        m = GyroErrorModel(NoiseSpec(1e-6), (DriftSpec(1e-2, 1e7),))
+        m = GyroErrorModel(1e-6, (DriftSpec(1e-2, 1e7),))
         tau_min = math.sqrt(3) * 1e-6 / 1e-2
 
         def slope(tau):
@@ -94,7 +93,7 @@ class TestEmpirical:
 
     def test_white_noise_matches_analytic_within_3_estimator_std(self):
         N = 0.03 * DEG
-        m = GyroErrorModel(NoiseSpec(N), ())
+        m = GyroErrorModel(N, ())
         trace = synthesize_rate_trace(m, 10.0, SEC, seed=4)
         taus = default_tau_grid(SEC, trace.duration)
         taus = taus[(taus >= 10 * SEC) & (taus <= 1.0)]
@@ -117,7 +116,7 @@ class TestLandmarks:
         lm = allan_landmarks_analytic(FIG3)
         assert lm.sigma_min / DEG == pytest.approx(4.1e-3, rel=0.03)
         d = FIG3.drifts[0]
-        sigma_min_cf = math.sqrt(2 / math.sqrt(3)) * math.sqrt(FIG3.noise.N * d.K)
+        sigma_min_cf = math.sqrt(2 / math.sqrt(3)) * math.sqrt(FIG3.N * d.K)
         assert lm.sigma_min == pytest.approx(sigma_min_cf, rel=0.01)
 
     def test_reference_model_maximum(self):
@@ -127,7 +126,7 @@ class TestLandmarks:
         assert lm.sigma_max / (d.K * math.sqrt(d.Tc)) == pytest.approx(0.437, abs=0.002)
 
     def test_maximum_absent_when_noise_buries_drift(self):
-        m = GyroErrorModel(NoiseSpec(1.0), (DriftSpec(1e-6, 1.0),))
+        m = GyroErrorModel(1.0, (DriftSpec(1e-6, 1.0),))
         lm = allan_landmarks_analytic(m)
         assert lm.tau_max is None and lm.sigma_max is None
 
@@ -142,10 +141,9 @@ class TestLandmarks:
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            allan_landmarks_analytic(GyroErrorModel(NoiseSpec(1.0), ()))
+            allan_landmarks_analytic(GyroErrorModel(1.0, ()))
         with pytest.raises(ValueError):
-            allan_landmarks_analytic(GyroErrorModel(
-                NoiseSpec(0.0), (DriftSpec(1.0, 1.0),)))
+            allan_landmarks_analytic(GyroErrorModel(0.0, (DriftSpec(1.0, 1.0),)))
 
 
 @pytest.mark.parametrize("sig, want", [
@@ -217,7 +215,7 @@ class TestEstimatorBand:
     def test_white_noise_dof_matches_known_result(self):
         # overlapping estimator on pure white noise at tau = dt:
         # exact quadratic-form value 2M^2/(3M - 1), the classic 2n/3 asymptote
-        m = GyroErrorModel(NoiseSpec(0.1), ())
+        m = GyroErrorModel(0.1, ())
         n = 5000
         M = n - 1
         nu = estimator_dof(m, SEC, n, [SEC])
@@ -331,7 +329,7 @@ def _second_diff_cov_exact(model, dt, m, max_lag):
     """dt^2 [2C(l) - C(l+m) - C(l-m)], C(L) = sum_u (m-|u|) R(L+u), summed in
     exact rationals from the float model parameters."""
     dt_q = Fraction(dt)
-    white = Fraction(model.noise.N) ** 2 / dt_q
+    white = Fraction(model.N) ** 2 / dt_q
     drifts = []
     for d in model.drifts:
         q = Fraction(math.exp(-dt / d.Tc))

@@ -10,7 +10,7 @@ import oracles
 from gyrofde import _series
 from gyrofde.budget import (ErrorBudget, FlightProfile, budget_series_to_csv,
                             fde_sigma)
-from gyrofde.gyro import DriftSpec, GyroErrorModel, NoiseSpec
+from gyrofde.gyro import DriftSpec, GyroErrorModel
 from gyrofde.units import DEG, NMI_KM
 
 P = FlightProfile()  # 900 km/h, 10 h, R=6371 km
@@ -21,7 +21,7 @@ log_t = st.floats(min_value=1e-3, max_value=30.0)
 
 
 def drift_model(K, Tc, turn_on=True):
-    return GyroErrorModel(NoiseSpec(0.0), (DriftSpec(K, Tc),), turn_on)
+    return GyroErrorModel(0.0, (DriftSpec(K, Tc),), turn_on)
 
 
 class TestFlightProfile:
@@ -71,7 +71,7 @@ class TestAtrkVariance:
     def test_noise_only(self):
         # sigma = N R sqrt(t) = 1.758 km at N=0.005 deg/sqrt(h), 10 h
         N = 0.005 * DEG
-        b = fde_sigma(GyroErrorModel(NoiseSpec(N)), P, 10.0)
+        b = fde_sigma(GyroErrorModel(N), P, 10.0)
         noise, drift, turnon = b.atrk_noise, b.atrk_drift, b.atrk_turnon
         assert drift == turnon == 0.0
         assert math.sqrt(noise) == pytest.approx(N * P.R * math.sqrt(10.0), rel=1e-12)
@@ -113,7 +113,7 @@ class TestXtrkVariance:
     def test_noise_only(self):
         # sigma = N v t^1.5 / sqrt(3) = 1.434 km
         N = 0.005 * DEG
-        noise = fde_sigma(GyroErrorModel(NoiseSpec(N)), P, 10.0).xtrk_noise
+        noise = fde_sigma(GyroErrorModel(N), P, 10.0).xtrk_noise
         assert math.sqrt(noise) == pytest.approx(
             N * P.v * 10.0 ** 1.5 / math.sqrt(3), rel=1e-12)
         assert math.sqrt(noise) == pytest.approx(1.434, rel=1e-3)
@@ -202,7 +202,7 @@ class TestLargeTimeGrowth:
         # deficit at t = 10 Tc is 14.5% on the std scale, 27% on variance)
         N, K, Tc = 0.003 * DEG, 0.01 * DEG, 0.6
         for t in (10 * Tc, 20 * Tc, 50 * Tc):
-            b = fde_sigma(GyroErrorModel(NoiseSpec(N), (DriftSpec(K, Tc),)),
+            b = fde_sigma(GyroErrorModel(N, (DriftSpec(K, Tc),)),
                           FlightProfile(duration=t), t)
             noise, drift = b.xtrk_noise, b.xtrk_drift
             assert noise == pytest.approx(N * N * P.v ** 2 * t ** 3 / 3, rel=1e-12)

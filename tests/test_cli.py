@@ -12,7 +12,7 @@ import gyrofde
 from gyrofde.allan import allan_variance_empirical, default_tau_grid
 from gyrofde.budget import FlightProfile, fde_sigma
 from gyrofde.cli import ConfigError, RunConfig, build_parser, main, parse_config
-from gyrofde.gyro import DriftSpec, GyroErrorModel, NoiseSpec, synthesize_rate_trace
+from gyrofde.gyro import DriftSpec, GyroErrorModel, synthesize_rate_trace
 from gyrofde.units import DEG
 
 BENCHMARK = {
@@ -30,7 +30,7 @@ def write_config(tmp_path, doc, name="config.json"):
 class TestParseConfig:
     def test_benchmark_model(self):
         cfg = parse_config(dict(BENCHMARK))
-        assert cfg.model.noise.N == pytest.approx(0.005 * DEG)
+        assert cfg.model.N == pytest.approx(0.005 * DEG)
         assert cfg.model.drifts[0].K == pytest.approx(0.01 * DEG)
         assert cfg.model.drifts[0].Tc == 1.0
         assert cfg.model.turn_on is True
@@ -61,7 +61,7 @@ class TestParseConfig:
             "drifts": [{"K": "0.0001 rad_per_h_3_2", "Tc": "1800 s"}],
             "flight": {"duration": "36000 s", "R": "3440 nmi"},
         })
-        assert cfg.model.noise.N == pytest.approx(0.005 * DEG)
+        assert cfg.model.N == pytest.approx(0.005 * DEG)
         assert cfg.model.drifts[0].Tc == pytest.approx(0.5)
         assert cfg.flight.duration == pytest.approx(10.0)
         assert cfg.flight.R == pytest.approx(3440 * 1.852)
@@ -82,7 +82,7 @@ class TestParseConfig:
             turn_on=False, seed=7, v="800 km_per_h", duration="4 h",
             radius="6000 km", dt="2 h")
         assert parse_config(doc, flags) == RunConfig(
-            GyroErrorModel(NoiseSpec(0.002), (DriftSpec(0.003, 2.0),), False),
+            GyroErrorModel(0.002, (DriftSpec(0.003, 2.0),), False),
             FlightProfile(v=800.0, duration=4.0, R=6000.0, dt=2.0), seed=7)
 
 
@@ -705,6 +705,47 @@ def test_config_schema_error_exits_2_with_one_line(tmp_path, capsys, case):
     assert main(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"gyrofde: error: {message}")
+    assert not out.exists()
+
+
+NEGATIVE = "must be finite and >= 0, got -0.017453292519943295"  # -1 deg in rad
+
+
+def _bad_drift_config(N):
+    return {"N": N, "drifts": [{"K": "-1 deg_per_h_3_2", "Tc": "1 h"}]}
+
+
+# argv (a dict is a config file) -> the one error line: a bad N is reported
+# before a bad K or Tc, and a value subnormal in its canonical unit is out of range
+BAD_VALUES = {
+    "analytic-noise-flag": (["analytic", "--noise", "-1 deg_per_sqrt_h"],
+                            f"N: N {NEGATIVE}"),
+    "config-N-and-K": (["check", "--config", _bad_drift_config("-1 deg_per_sqrt_h")],
+                       f"N: N {NEGATIVE}"),
+    "config-K": (["check", "--config", _bad_drift_config("1 deg_per_sqrt_h")],
+                 f"drifts[0].K: K {NEGATIVE}"),
+    "grid-N-and-Tc": (["grid", "--n-range=-1,-0.1,3", "--tc", "0 h"], f"N {NEGATIVE}"),
+    "grid-Tc": (["grid", "--n-range=0.1,1,3", "--tc", "0 h"],
+                "Tc must be finite and > 0, got 0.0"),
+    "grid-N-and-K": (["grid", "--n-range=-1,-0.1,3", "--k-range=-1,-0.1,3"],
+                     f"N {NEGATIVE}"),
+    "contour-N": (["contour", "--n-range=-1,-0.1,3"], f"N {NEGATIVE}"),
+    "analytic-noise-subnormal": (
+        ["analytic", "--noise", "1e-320 deg_per_sqrt_h"],
+        "N: value out of numeric range in '1e-320 deg_per_sqrt_h'"),
+    "fit-allan-tau-max-subnormal": (
+        ["fit-allan", "--tau-max", "1e-320 s", "--sigma-max", "1 deg_per_h"],
+        "--tau-max: value out of numeric range in '1e-320 s'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_bad_value_exits_2_with_its_line(tmp_path, capsys, case):
+    argv, line = BAD_VALUES[case]
+    argv = [write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"gyrofde: error: {line}\n"
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gyrofde import gyro
-from gyrofde.gyro import (DriftSpec, GyroErrorModel, NoiseSpec, RateTrace,
+from gyrofde.gyro import (DriftSpec, GyroErrorModel, RateTrace,
                           drift_stationary_std, substream, synthesize_rate_trace)
 from gyrofde.units import DEG
 from oracles import init_drift_state, noise_sample, step_drift
@@ -15,7 +15,7 @@ SEC = 1.0 / 3600.0
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        NoiseSpec(-1.0)
+        GyroErrorModel(-1.0)
     with pytest.raises(ValueError):
         DriftSpec(K=0.1, Tc=0.0)
     with pytest.raises(ValueError):
@@ -35,7 +35,7 @@ class TestDriftStationaryStd:
         # K=0.03 deg/h^1.5, Tc=10 h -> 6.708e-2 deg/h; sample std of a
         # synthesized record much longer than 1000 Tc
         d = DriftSpec(K=0.03 * DEG, Tc=10.0)
-        m = GyroErrorModel(NoiseSpec(0.0), (d,), turn_on=True)
+        m = GyroErrorModel(0.0, (d,), turn_on=True)
         trace = synthesize_rate_trace(m, duration=20_000.0, dt=0.1, seed=11)
         sample_std = float(np.std(trace.samples, ddof=1))
         assert sample_std == pytest.approx(drift_stationary_std(d), rel=0.05)
@@ -94,13 +94,13 @@ class TestStepDrift:
 
 class TestNoiseSample:
     def test_zero_amplitude(self):
-        assert noise_sample(NoiseSpec(0.0), SEC, substream(0, 0)) == 0.0
+        assert noise_sample(0.0, SEC, substream(0, 0)) == 0.0
 
     def test_bandwidth_scaling(self):
         # N = 0.03 deg/sqrt(h) at dt = 1 s -> std 1.8 deg/h
-        n = NoiseSpec(0.03 * DEG)
+        N = 0.03 * DEG
         rng = substream(5, 0)
-        draws = np.array([noise_sample(n, SEC, rng) for _ in range(100_000)])
+        draws = np.array([noise_sample(N, SEC, rng) for _ in range(100_000)])
         assert np.std(draws, ddof=1) / DEG == pytest.approx(1.8, rel=0.02)
 
     def test_integrated_angle_random_walk(self):
@@ -117,7 +117,7 @@ class TestNoiseSample:
 
 class TestSynthesizeRateTrace:
     def test_ideal_gyro_is_silent(self):
-        m = GyroErrorModel(NoiseSpec(0.0), ())
+        m = GyroErrorModel(0.0, ())
         trace = synthesize_rate_trace(m, 1.0, SEC, seed=0)
         assert np.all(trace.samples == 0.0)
 
@@ -129,7 +129,7 @@ class TestSynthesizeRateTrace:
 
     def test_noise_only_variance(self):
         N = 0.03 * DEG
-        m = GyroErrorModel(NoiseSpec(N), ())
+        m = GyroErrorModel(N, ())
         trace = synthesize_rate_trace(m, 1_000_000 * SEC, SEC, seed=8)
         assert len(trace.samples) == 1_000_000
         assert np.var(trace.samples, ddof=1) == pytest.approx(N * N / SEC, rel=0.02)
@@ -145,7 +145,7 @@ class TestSynthesizeRateTrace:
         noise_rng = substream(seed, 0, 1)
         rate = np.empty(n)
         for j in range(n):
-            r = noise_sample(m.noise, dt, noise_rng)
+            r = noise_sample(m.N, dt, noise_rng)
             for s in states:
                 r += s
             rate[j] = r
@@ -154,7 +154,7 @@ class TestSynthesizeRateTrace:
         np.testing.assert_array_equal(trace.samples, rate)
 
     def test_rejects_bad_duration(self):
-        m = GyroErrorModel(NoiseSpec(1.0), ())
+        m = GyroErrorModel(1.0, ())
         with pytest.raises(ValueError):
             synthesize_rate_trace(m, 0.0, SEC, seed=0)
         with pytest.raises(ValueError):
@@ -166,7 +166,7 @@ class TestSynthesizeRateTrace:
 
 def _state_matrix(d, n_chains, n_steps, dt, turn_on, seed):
     """Ensemble of drift chains via the public trace op, one process each."""
-    m = GyroErrorModel(NoiseSpec(0.0), (d,), turn_on=turn_on)
+    m = GyroErrorModel(0.0, (d,), turn_on=turn_on)
     out = np.empty((n_chains, n_steps))
     for c in range(n_chains):
         out[c] = synthesize_rate_trace(m, n_steps * dt, dt, seed=seed + c).samples
@@ -187,7 +187,7 @@ class TestDriftChainProperties:
     def test_autocovariance_decay_rate(self):
         d = DriftSpec(K=0.5, Tc=0.1)
         dt = d.Tc / 100
-        m = GyroErrorModel(NoiseSpec(0.0), (d,), turn_on=True)
+        m = GyroErrorModel(0.0, (d,), turn_on=True)
         x = synthesize_rate_trace(m, 400 * d.Tc, dt, seed=77).samples
         x = x - x.mean()
         lags = np.arange(1, 80)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gyrofde.budget import FlightProfile, fde_sigma
-from gyrofde.gyro import GyroErrorModel, NoiseSpec
+from gyrofde.gyro import GyroErrorModel
 from gyrofde.montecarlo import (EnsembleStats, compare_to_analytic,
                                 run_ensemble, simulate_flight)
 from gyrofde.units import DEG
@@ -36,7 +36,7 @@ class TestSimulateFlight:
     def test_noise_only_variance_matches_closed_form(self):
         # var ATRK(t) = N^2 R^2 t within 5% over 1e4 flights
         N = 0.005 * DEG
-        m = GyroErrorModel(NoiseSpec(N), ())
+        m = GyroErrorModel(N, ())
         vals = np.empty(10_000)
         for i in range(len(vals)):
             _, atrk, _ = simulate_flight(m, SHORT, keyed(202, i))

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyrofde.gyro import DriftSpec, GyroErrorModel, NoiseSpec
+from gyrofde.gyro import DriftSpec, GyroErrorModel
 from gyrofde.tradestudy import (RequirementTarget, check_requirement, fde95_of,
                                 fde_grid, grid_to_csv, solve_K, solve_K_contour)
-from gyrofde.units import DEG
+from gyrofde.units import DEG, NMI_KM
 
 RNP10 = RequirementTarget()  # 10 nmi over 10 h at 900 km/h
 
 
 def model(N_deg, K_deg=0.0, Tc=1.0):
     drifts = (DriftSpec(K_deg * DEG, Tc),) if K_deg > 0 else ()
-    return GyroErrorModel(NoiseSpec(N_deg * DEG), drifts, turn_on=True)
+    return GyroErrorModel(N_deg * DEG, drifts, turn_on=True)
 
 
 class TestRequirementTarget:
@@ -29,16 +29,16 @@ class TestRequirementTarget:
 class TestCheckRequirement:
     def test_ideal_gyro_passes_with_full_margin(self):
         res = check_requirement(GyroErrorModel(), RNP10)
-        assert res.passed and res.margin_km == pytest.approx(RNP10.fde95)
+        assert res.passed and res.margin_nmi == pytest.approx(RNP10.fde95 / NMI_KM)
 
     def test_marginal_noise_value(self):
         # N = 0.02 deg/sqrt(h) alone sits within 5% of the 10 nmi ceiling
         res = check_requirement(model(0.02), RNP10)
-        assert res.fde95_nmi == pytest.approx(10.0, rel=0.05)
+        assert res.budget.fde95_nmi == pytest.approx(10.0, rel=0.05)
 
     def test_high_noise_fails(self):
         res = check_requirement(model(0.1), RNP10)
-        assert not res.passed and res.margin_km < 0
+        assert not res.passed and res.margin_nmi < 0
 
 
 class TestSolveK:
@@ -63,7 +63,7 @@ class TestSolveK:
     def test_residual_bound(self, N_deg, Tc):
         k = solve_K(N_deg * DEG, Tc, RNP10)
         assert k is not None
-        achieved = fde95_of(GyroErrorModel(NoiseSpec(N_deg * DEG),
+        achieved = fde95_of(GyroErrorModel(N_deg * DEG,
                                            (DriftSpec(k, Tc),)), RNP10)
         assert abs(achieved - RNP10.fde95) / RNP10.fde95 <= 2e-4
 
@@ -85,7 +85,7 @@ class TestFdeGrid:
     def test_degenerate_grid_matches_point_evaluation(self):
         N, K = 5e-3 * DEG, 1e-2 * DEG
         grid = fde_grid([N], [K], 1.0, RNP10)
-        direct = fde95_of(GyroErrorModel(NoiseSpec(N), (DriftSpec(K, 1.0),)), RNP10)
+        direct = fde95_of(GyroErrorModel(N, (DriftSpec(K, 1.0),)), RNP10)
         assert grid[0, 0] == direct
 
     def test_monotone_along_both_axes(self):
@@ -155,10 +155,10 @@ class TestSolveKExact:
     def test_two_sigma_on_target(self, N_deg, Tc, target_km):
         r = RequirementTarget(fde95=target_km)
         k = solve_K(N_deg * DEG, Tc, r)
-        noise_only = fde95_of(GyroErrorModel(NoiseSpec(N_deg * DEG)), r)
+        noise_only = fde95_of(GyroErrorModel(N_deg * DEG), r)
         assert (k is None) == (noise_only > r.fde95)
         if k is not None:
-            achieved = fde95_of(GyroErrorModel(NoiseSpec(N_deg * DEG),
+            achieved = fde95_of(GyroErrorModel(N_deg * DEG,
                                                (DriftSpec(k, Tc),)), r)
             assert abs(achieved - r.fde95) / r.fde95 <= 1e-12
 

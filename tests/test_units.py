@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,10 @@ def test_unknown_tag_rejected():
 def test_parse_quantity():
     assert parse_quantity("0.005 deg_per_sqrt_h", "arw") == 0.005 * (math.pi / 180.0)
     assert parse_quantity("1 s", "time") == pytest.approx(1 / 3600)
+    assert parse_quantity("0 deg_per_sqrt_h", "arw") == 0.0
+    assert parse_quantity("-0 s", "time") == 0.0
+    assert parse_quantity("1e-400 s", "time") == 0.0  # the number reads as zero
+    assert parse_quantity("2.2250738585072014e-308 h", "time") == sys.float_info.min
 
 
 # each bad text with a dimension it would otherwise match, and its message
@@ -78,7 +83,12 @@ _BAD = {"0.005": ("arw", "expected '<value> <unit>', got '0.005'"),
         "x deg_per_h": ("rate", "bad numeric value in 'x deg_per_h'"),
         "1 parsec": ("length", "unknown unit tag 'parsec'"),
         "nan h": ("time", "non-finite value in 'nan h'"),
-        "1 2 h": ("time", "expected '<value> <unit>', got '1 2 h'")}
+        "1 2 h": ("time", "expected '<value> <unit>', got '1 2 h'"),
+        # nonzero, but subnormal in the canonical unit
+        "1e-320 s": ("time", "value out of numeric range in '1e-320 s'"),
+        "1e-320 deg_per_sqrt_h": ("arw", "value out of numeric range in "
+                                         "'1e-320 deg_per_sqrt_h'"),
+        "-1e-310 h": ("time", "value out of numeric range in '-1e-310 h'")}
 
 
 @pytest.mark.parametrize("bad", list(_BAD))
