@@ -20,7 +20,7 @@ x^5/20 cross-track).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,14 +46,12 @@ class FlightProfile:
     dt: float = 1.0 / 3600.0
 
     def __post_init__(self):
-        if self.v < 0:
-            raise ValueError(f"v must be >= 0, got {self.v}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
-        if self.R <= 0:
-            raise ValueError(f"R must be > 0, got {self.R}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        for name, rule in (("v", ">= 0"), ("duration", "> 0"), ("R", "> 0"), ("dt", "> 0")):
+            value = getattr(self, name)
+            if value < 0 or value == 0 and rule == "> 0":
+                raise ValueError(f"{name} must be {rule}, got {value}")
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite and {rule}, got {value}")
 
     @property
     def n_steps(self) -> int:
@@ -68,7 +66,8 @@ class FlightProfile:
 @dataclass(frozen=True)
 class ErrorBudget:
     """Per-term variances (km^2) at one flight time, or arrays of them over
-    an array of times; the standard deviations (km) are their root sums."""
+    an array of times; the standard deviations (km) are their root sums.
+    The fields, in order, are the ``<field>_km2`` terms of every output."""
 
     atrk_noise: float
     atrk_drift: float
@@ -158,10 +157,8 @@ def budget_series_to_csv(path, m: GyroErrorModel, p: FlightProfile,
                          times) -> None:
     """ErrorBudget CSV over a time grid: sigmas, 95% figure, per-term variances."""
     b = fde_sigma(m, p, times)
+    terms = [f.name for f in fields(b)]
     write_csv(path, ("t_h", "sigma_atrk_km", "sigma_xtrk_km", "sigma_fde_km",
-                     "fde95_nmi", "atrk_noise_km2", "atrk_drift_km2",
-                     "atrk_turnon_km2", "xtrk_noise_km2", "xtrk_drift_km2",
-                     "xtrk_turnon_km2"),
+                     "fde95_nmi", *(f"{t}_km2" for t in terms)),
               np.asarray(times, dtype=float), b.sigma_atrk, b.sigma_xtrk,
-              b.sigma_fde, b.fde95_nmi, b.atrk_noise, b.atrk_drift,
-              b.atrk_turnon, b.xtrk_noise, b.xtrk_drift, b.xtrk_turnon)
+              b.sigma_fde, b.fde95_nmi, *(getattr(b, t) for t in terms))

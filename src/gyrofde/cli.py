@@ -146,11 +146,13 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     doc = {}
     if path is not None:
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
-        except json.JSONDecodeError as e:
+        try:  # UTF-8 whatever the locale; a nesting too deep is a RecursionError
+            doc = json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as e:
             raise ConfigError(f"{path}: invalid JSON: {e}") from None
     return parse_config(doc, overrides)
 
@@ -279,14 +281,19 @@ def _check_steps(span: float, dt: float, flags: str) -> None:
 
 
 def _logspace_arg(text: str, name: str) -> np.ndarray:
+    mixed = False
     try:
         lo, hi, n = text.split(",")
         lo, hi, n = float(lo), float(hi), int(n)
         # checked first: numpy warns on stderr before it fails on an infinite end
         if np.isfinite(lo) and np.isfinite(hi) and n <= _MAX_POINTS:
-            return np.geomspace(lo, hi, n)
+            mixed = lo < 0 < hi or hi < 0 < lo  # no log10 for one end
+            if not mixed:
+                return np.geomspace(lo, hi, n)
     except ValueError:
         pass
+    if mixed:
+        raise ConfigError(f"{name}: a log-spaced range needs ends of one sign, got {text!r}")
     raise ConfigError(f"{name}: expected 'lo,hi,points' with finite ends and "
                       f"at most 2**62 points, got {text!r}")
 

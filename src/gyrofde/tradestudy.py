@@ -8,7 +8,7 @@ so the K solver takes that root exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,25 +38,23 @@ class RequirementTarget:
     def __post_init__(self):
         if self.fde95 <= 0:
             raise ValueError(f"fde95 must be > 0, got {self.fde95}")
+        if not np.isfinite(self.fde95):
+            raise ValueError(f"fde95 must be finite and > 0, got {self.fde95}")
 
 
 def fde95_of(m: GyroErrorModel, r: RequirementTarget) -> float:
     """2 sigma_FDE in km at the end of the flight."""
-    return fde_sigma(m, r.flight, r.flight.duration).fde95_km
+    return check_requirement(m, r).budget.fde95_km
 
 
 def _one_drift_budget(N, K, Tc, r: RequirementTarget) -> ErrorBudget:
-    """The one-drift turn-on budget at the flight end, broadcast over N, K, Tc."""
-    return _budget(N, [(K, Tc)], True, r.flight.R, r.flight.v, r.flight.duration)
-
-
-def _check_specs(N, K, Tc) -> None:
-    """Reject what the model and drift specs reject, N before K and Tc, in a
-    float or a range: a range holds a NaN, negative or infinite value iff its
-    min or max does."""
+    """The one-drift turn-on budget at the flight end, broadcast over N, K, Tc.
+    N, then K and Tc, pass the model and drift spec checks first: a range
+    holds a NaN, negative or infinite value iff its min or max does."""
     for ext in (np.min, np.max):
         GyroErrorModel(float(ext(N, initial=0.0)))
         DriftSpec(float(ext(K, initial=0.0)), Tc)
+    return _budget(N, [(K, Tc)], True, r.flight.R, r.flight.v, r.flight.duration)
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,6 @@ def solve_K(N, Tc: float, r: RequirementTarget):
     the target.  Otherwise the exact root K = sqrt(((fde95/2)^2 - noise
     variance) / drift variance at K = 1), from one budget for every N.
     """
-    _check_specs(N, 1.0, Tc)
     b = _one_drift_budget(N, 1.0, Tc, r)
     noise = b.atrk_noise + b.xtrk_noise
     drift = b.atrk_drift + b.atrk_turnon + b.xtrk_drift + b.xtrk_turnon
@@ -130,7 +127,6 @@ def fde_grid(N_range, K_range, Tc: float, r: RequirementTarget) -> np.ndarray:
     K_range = np.asarray(K_range, dtype=float)
     if N_range.size < 1 or K_range.size < 1:
         raise ValueError("empty grid ranges")
-    _check_specs(N_range, K_range, Tc)
     return _one_drift_budget(N_range[:, None], K_range, Tc, r).fde95_km
 
 
@@ -158,12 +154,7 @@ def compliance_to_json(path, res: ComplianceResult,
             "sigma_atrk_km": b.sigma_atrk,
             "sigma_xtrk_km": b.sigma_xtrk,
             "sigma_fde_km": b.sigma_fde,
-            "atrk_noise_km2": b.atrk_noise,
-            "atrk_drift_km2": b.atrk_drift,
-            "atrk_turnon_km2": b.atrk_turnon,
-            "xtrk_noise_km2": b.xtrk_noise,
-            "xtrk_drift_km2": b.xtrk_drift,
-            "xtrk_turnon_km2": b.xtrk_turnon,
+            **{f"{f.name}_km2": getattr(b, f.name) for f in fields(b)},
         },
         "notes": notes or [],
     }

@@ -34,6 +34,18 @@ class TestFlightProfile:
         with pytest.raises(ValueError):
             FlightProfile(**kw)
 
+    @pytest.mark.parametrize("name, value, line", [
+        *((name, value, f"{name} must be finite and {rule}, got {value}")
+          for name, rule in (("v", ">= 0"), ("duration", "> 0"), ("R", "> 0"), ("dt", "> 0"))
+          for value in (math.nan, math.inf)),
+        ("v", -1.0, "v must be >= 0, got -1.0"), ("v", -math.inf, "v must be >= 0, got -inf"),
+        ("duration", 0.0, "duration must be > 0, got 0.0"), ("R", -0.0, "R must be > 0, got -0.0"),
+        ("dt", -math.inf, "dt must be > 0, got -inf")])
+    def test_each_bad_value_has_its_line(self, name, value, line):
+        with pytest.raises(ValueError) as e:
+            FlightProfile(**{name: value})
+        assert str(e.value) == line
+
 
 class TestErrorBudgetRecord:
     TERMS = ["atrk_noise", "atrk_drift", "atrk_turnon",

@@ -306,6 +306,15 @@ REMOVED_FLAGS = {
     for flag in flags}
 
 
+# Configs that cannot be read or parsed, each given to both commands that
+# take a config and write one output
+CONFIG_FAULTS = {"missing": None, "directory": None, "invalid-json": b'{"N": ',
+                 "invalid-utf8": b'{"N": "1 deg_per_sqrt_h\xff"}',
+                 "deep": b"[" * 100_000 + b"]" * 100_000}
+CONFIG_FAULT_CASES = [f"{command}-config-{fault}" for command in ("check", "analytic")
+                      for fault in CONFIG_FAULTS]
+
+
 def _bad_input_cases(tmp_path):
     short = _write_trace(tmp_path / "short.csv",
                          [(i / 3600, 0.01) for i in range(1, 4)])
@@ -335,8 +344,15 @@ def _bad_input_cases(tmp_path):
                               [(1 / 3600, 0.01), (2 / 3600, "x" * 200_000)])
     long_curve = tmp_path / "long_curve.csv"
     long_curve.write_text(f"tau_s,sigma_deg_per_h\n10,0.1\n20,{'x' * 200_000}\n")
+    (tmp_path / "directory.json").mkdir()
+    for fault, body in CONFIG_FAULTS.items():
+        if body is not None:
+            (tmp_path / f"{fault}.json").write_bytes(body)
     out = str(tmp_path / "out.csv")
     return {
+        **{f"{command}-config-{fault}": [command, "--config",
+                                         str(tmp_path / f"{fault}.json"), "--out", out]
+           for command in ("check", "analytic") for fault in CONFIG_FAULTS},
         **{case: [command, *flag, _OUT_FLAG.get(command, "--out"), out]
            for case, (command, *flag) in REMOVED_FLAGS.items()},
         "analytic-points-not-int": ["analytic", "--points", "x", "--out", out],
@@ -428,7 +444,7 @@ def _bad_input_cases(tmp_path):
     "fit-allan-unordered-taus", "fit-allan-negative-tau", "analytic-points-not-int",
     "analytic-unknown-flag", "analytic-no-out", "check-turn-on-and-no-turn-on",
     "allan-trace-duration-not-whole-steps", "allan-trace-long-field",
-    "fit-allan-long-field", *REMOVED_FLAGS])
+    "fit-allan-long-field", *REMOVED_FLAGS, *CONFIG_FAULT_CASES])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     argv = _bad_input_cases(tmp_path)[case]
     assert main(argv) == 2
@@ -436,6 +452,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("gyrofde: error: ")
     if case in REMOVED_FLAGS:
         assert f"unrecognized arguments: {REMOVED_FLAGS[case][1]}" in err[0]
+    if case in CONFIG_FAULT_CASES:  # one short line that names the file
+        assert argv[2] in err[0] and len(err[0]) < 300
     if case.startswith("seed-"):
         assert "seed" in err[0]
     if case.endswith("-overflow"):
@@ -757,7 +775,10 @@ def test_bad_value_exits_2_with_its_line(tmp_path, capsys, case):
      "--trace-duration"),
     (["fit-allan", "--tau-max", "1 km", "--sigma-max", "0.04 deg_per_h"], "--tau-max"),
     (["fit-allan", "--tau-max", "6804 s", "--sigma-max", "0.04 km"], "--sigma-max"),
-], ids=["target", "grid-tc", "contour-tc", "trace-duration", "tau-max", "sigma-max"])
+    (["grid", "--k-range=-1e-3,1e-1,3"], "--k-range"),
+    (["contour", "--n-range=1e-3,-1e-1,3"], "--n-range"),
+], ids=["target", "grid-tc", "contour-tc", "trace-duration", "tau-max", "sigma-max",
+        "grid-k-range-mixed-sign", "contour-n-range-mixed-sign"])
 def test_quantity_flag_errors_name_the_flag(tmp_path, capsys, argv, flag):
     argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
     if argv[0] in ("grid", "contour"):

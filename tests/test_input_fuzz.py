@@ -79,16 +79,42 @@ def _run(tmp, argv, outputs):
         assert lines == []
 
 
-@FUZZ
-@given(doc=st.one_of(_config(False), _config(True)), command=st.sampled_from(["check", "analytic"]))
-def test_random_config_trees(doc, command):
+def _run_config(body: bytes, command):
+    """``command`` on a config file of ``body``, under the ``_run`` contract."""
     with tempfile.TemporaryDirectory() as d:
         tmp = pathlib.Path(d)
-        (tmp / "c.json").write_text(json.dumps(doc))
+        (tmp / "c.json").write_bytes(body)
         argv = [command, "--config", str(tmp / "c.json"), "--out", str(tmp / "o")]
         if command == "analytic":
             argv += ["--points", "3"]
         _run(tmp, argv, ["o"])
+
+
+CONFIG_COMMANDS = st.sampled_from(["check", "analytic"])
+
+
+@FUZZ
+@given(doc=st.one_of(_config(False), _config(True)), command=CONFIG_COMMANDS)
+def test_random_config_trees(doc, command):
+    _run_config(json.dumps(doc).encode(), command)
+
+
+# Config files that are not JSON text: random bytes, a JSON document cut
+# short, and a run of '[' (closed or not) around and far past the nesting
+# that the parser can recurse into
+raw_configs = st.one_of(
+    st.binary(max_size=40),
+    st.builds(lambda doc, cut: json.dumps(doc).encode()[:cut],
+              _config(True), st.integers(0, 120)),
+    st.builds(lambda n, closed: b"[" * n + b"]" * (n * closed),
+              st.sampled_from([1, 10, 900, 1000, 5000, 100_000]) | st.integers(1, 3000),
+              st.booleans()))
+
+
+@FUZZ
+@given(body=raw_configs, command=CONFIG_COMMANDS)
+def test_raw_config_bytes(body, command):
+    _run_config(body, command)
 
 
 cell = st.one_of(

@@ -25,6 +25,16 @@ class TestRequirementTarget:
         with pytest.raises(ValueError):
             RequirementTarget(fde95=0.0)
 
+    @pytest.mark.parametrize("fde95, line", [
+        (0.0, "fde95 must be > 0, got 0.0"), (-np.inf, "fde95 must be > 0, got -inf"),
+        (np.nan, "fde95 must be finite and > 0, got nan"),
+        (np.inf, "fde95 must be finite and > 0, got inf")],
+        ids=["zero", "minus-inf", "nan", "inf"])
+    def test_each_bad_value_has_its_line(self, fde95, line):
+        with pytest.raises(ValueError) as e:
+            RequirementTarget(fde95=fde95)
+        assert str(e.value) == line
+
 
 class TestCheckRequirement:
     def test_ideal_gyro_passes_with_full_margin(self):
