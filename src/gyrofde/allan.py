@@ -11,7 +11,9 @@ The curve falls as tau^(-1/2) (noise), rises as tau^(+1/2) (drift), and rolls
 off again past Tc.  The local maximum of the drift term sits at
 tau = 1.89 Tc with ordinate 0.437 K sqrt(Tc); inverting a measured maximum
 therefore recovers both K and Tc, which the minimum (1.074 sqrt(NK), at
-sqrt(3) N/K) cannot do because it carries no Tc information.
+sqrt(3) N/K) cannot do because it carries no Tc information.  Both landmarks
+are located where the curve's closed-form slope changes sign, to adjacent
+doubles; with one drift they exist only while N/(K Tc) < 0.2518.
 """
 
 from __future__ import annotations
@@ -74,10 +76,14 @@ class AllanCurve:
 
 @dataclass
 class AllanLandmarks:
-    """Numerically located extrema of the analytic curve.
+    """Extrema of the analytic curve: sign changes of its closed-form slope,
+    each to adjacent doubles in tau.
 
-    A landmark that does not exist as an interior extremum (e.g. drift buried
-    under the noise floor) is None.
+    A landmark that does not exist as an interior extremum is None.  With one
+    drift, tau^2 times the slope is (K Tc)^2 (x^2 f'(x) - r^2), x = tau/Tc,
+    r = N/(K Tc) (f as in _allan_slope); x^2 f'(x) rises from 0 to 0.0634 at
+    x = 1.0107 and then falls to -1, so both landmarks exist for r < 0.2518
+    and neither does above.
     """
 
     tau_min: float | None
@@ -107,6 +113,22 @@ def allan_variance_analytic(m: GyroErrorModel, tau) -> np.ndarray | float:
         K, Tc = np.float64(K), np.float64(Tc)
         drift = drift + K * K * Tc ** 3 * atrk_inflight_shape(tau / Tc)
     return (np.float64(m.N) ** 2 / tau + drift / (tau * tau))[()]
+
+
+def _allan_slope(m: GyroErrorModel, tau) -> np.ndarray | float:
+    """d sigma^2/d tau at tau (h), rad^2/h^3: -N^2/tau^2 + sum_i K_i^2 f'(tau/Tc_i).
+
+    A drift's term is K^2 Tc f(tau/Tc) with f(x) = S(x)/x^2, S the along-track
+    shape, and S'(x) = (1 - e^-x)^2, so f'(x) = (x S'(x) - 2 S(x))/x^3.
+    """
+    tau = np.asarray(tau, dtype=float)
+    # numpy operands, as in allan_variance_analytic
+    slope = -np.float64(m.N) ** 2 / (tau * tau)
+    for K, Tc in _drift_pairs(m):
+        x = tau / np.float64(Tc)
+        slope = slope + np.float64(K) ** 2 * (
+            x * np.expm1(-x) ** 2 - 2.0 * atrk_inflight_shape(x)) / x ** 3
+    return slope[()]
 
 
 def default_tau_grid(dt: float, duration: float) -> np.ndarray:
@@ -159,41 +181,6 @@ def allan_variance_empirical(trace: RateTrace, taus) -> AllanCurve:
     return AllanCurve(taus=taus, sigmas=sigmas)
 
 
-def _golden_log_extremum(f, lo: float, mid: float, hi: float) -> float:
-    """Golden-section refinement of a bracketed minimum of f on log-tau.
-
-    The loop of scipy's ``minimize_scalar(method="golden", xtol=1e-12)`` for a
-    three-point bracket, step for step, so the landmarks come out bit-identical
-    without importing scipy.optimize.
-    """
-    g = lambda u: f(math.exp(u))
-    x0, xb, x3 = math.log(lo), math.log(mid), math.log(hi)
-    if not x0 < xb < x3:
-        raise ValueError("bracket must satisfy lo < mid < hi")
-    fb = g(xb)
-    if not (fb < g(x0) and fb < g(x3)):
-        raise ValueError("bracket must satisfy f(mid) < f(lo) and f(mid) < f(hi)")
-    gR = 0.61803399  # scipy's rounding of the golden ratio conjugate
-    gC = 1.0 - gR
-    if abs(x3 - xb) > abs(xb - x0):
-        x1, x2 = xb, xb + gC * (x3 - xb)
-    else:
-        x1, x2 = xb - gC * (xb - x0), xb
-    f1, f2 = g(x1), g(x2)
-    for _ in range(5000):
-        if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
-            break
-        if f2 < f1:
-            x0, x1, f1 = x1, x2, f2
-            x2 = gR * x1 + gC * x3
-            f2 = g(x2)
-        else:
-            x3, x2, f2 = x2, x1, f1
-            x1 = gR * x2 + gC * x0
-            f1 = g(x1)
-    return math.exp(x1 if f1 < f2 else x2)
-
-
 def _interior_maximum(sig) -> int | None:
     """Index of the highest interior sample at or above both neighbours, the
     first of equals, or None.  An Allan curve's extrema are interior: its
@@ -207,7 +194,9 @@ def _interior_maximum(sig) -> int | None:
 
 
 def allan_landmarks_analytic(m: GyroErrorModel) -> AllanLandmarks:
-    """Locate the curve's interior minimum and maximum for a one-drift model."""
+    """The curve's lowest interior minimum and highest interior maximum (the
+    first of equals) for a one-drift model: the sign changes of its slope on
+    a log grid, each bisected in log tau until its ends are adjacent doubles."""
     if len(m.drifts) != 1:
         raise ValueError("landmark extraction needs exactly one drift process")
     d = m.drifts[0]
@@ -215,25 +204,34 @@ def allan_landmarks_analytic(m: GyroErrorModel) -> AllanLandmarks:
     if N <= 0 or K <= 0:
         raise ValueError("landmarks require N > 0 and K > 0")
 
-    # the closed forms sqrt(3) N/K and 1.89 Tc bracket the search, in numpy
+    # the closed forms sqrt(3) N/K and 1.89 Tc bound the grid, in numpy
     # floats: an overflow meets np.errstate, as in allan_variance_analytic
     tau_min_cf = math.sqrt(3.0) * np.float64(N) / K
     tau_max_cf = TAU_MAX_OVER_TC * np.float64(Tc)
     lo = min(tau_min_cf, Tc) / 1e3
     hi = max(tau_max_cf, tau_min_cf) * 1e3
     grid = np.geomspace(lo, hi, max(200, int(60 * math.log10(hi / lo))))
-    sig = np.sqrt(allan_variance_analytic(m, grid))
+    slope = _allan_slope(m, grid)
 
-    def extremum(sign):
-        """(tau, sigma) of the maximum of sign * sigma, or (None, None)."""
-        i = _interior_maximum(sign * sig)
-        if i is None:
-            return None, None
-        tau = _golden_log_extremum(lambda t: -sign * math.sqrt(allan_variance_analytic(m, t)),
-                                   grid[i - 1], grid[i], grid[i + 1])
-        return tau, math.sqrt(allan_variance_analytic(m, tau))
+    def extremum(s):
+        """(tau, sigma) of the lowest minimum (s = 1) or the highest maximum
+        (s = -1), or (None, None): s times the slope goes from <= 0 to > 0."""
+        best = (None, None)
+        up = (s * slope[:-1] <= 0) & (s * slope[1:] > 0)
+        for lo, hi in zip(grid[:-1][up].tolist(), grid[1:][up].tolist()):
+            while (above := math.nextafter(lo, hi)) < hi:
+                # the geometric mean, kept strictly between the ends
+                mid = min(max(math.sqrt(lo) * math.sqrt(hi), above), math.nextafter(hi, lo))
+                if s * _allan_slope(m, mid) > 0:
+                    hi = mid
+                else:
+                    lo = mid
+            sigma = math.sqrt(allan_variance_analytic(m, lo))
+            if best[0] is None or s * sigma < s * best[1]:
+                best = (lo, sigma)
+        return best
 
-    return AllanLandmarks(*extremum(-1.0), *extremum(1.0))
+    return AllanLandmarks(*extremum(1.0), *extremum(-1.0))
 
 
 def identify_from_max(tau_max: float, sigma_max: float) -> DriftSpec:

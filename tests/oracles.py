@@ -5,14 +5,16 @@ position-gain of one unit impulse per time bin: the impulse's rate response
 decays geometrically; its heading gain is the rate summed over later bins,
 and its cross-track gain is the heading summed again.  Everything is plain
 cumulative-sum arithmetic; none of the package's bracket expressions appear.
-Four references follow: the scalar shape series, for the package's array
+Five references follow: the scalar shape series, for the package's array
 kernels; the one-step drift and noise operations, for its vectorized rate
 synthesis; the estimator dof summed over every lag, for its closed-form
-tail; and the Allan estimator and its dof with all their work done per tau,
-for the kernels that share it across taus.
+tail; the Allan estimator and its dof with all their work done per tau,
+for the kernels that share it across taus; and the Allan landmarks bisected
+in 40-digit decimal arithmetic, for the package's double bisection.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -190,3 +192,46 @@ def estimator_dof_per_tau(model, dt: float, n_samples: int, taus) -> np.ndarray:
                             np.maximum(M - 2 * m, 0)[:, None, None])
     lagged += np.einsum("jd,je,jde->j", B, B, T) / M
     return M * c0 * c0 / (c0 * c0 + 2.0 * lagged)
+
+
+def allan_landmarks_decimal(N: float, K: float, Tc: float):
+    """(tau_min, sigma_min, tau_max, sigma_max) of a one-drift Allan curve, as
+    floats, from a bisection on tau in 40-digit decimal arithmetic.
+
+    The slope is -N^2/tau^2 + K^2 f'(x), x = tau/Tc, f(x) = S(x)/x^2 with
+    S(x) = x - (3 - 4 e^-x + e^-2x)/2, so f'(x) = (x (1 - e^-x)^2 - 2 S(x))/x^3.
+    tau^2 times it has the sign of x^2 f'(x) - r^2, r = N/(K Tc), which is
+    below 0 at x = r, above 0 at x = 1.0107 (its maximum, 0.0634) for
+    r < 0.25 and below 0 at x = 100: the minimum lies in the first bracket,
+    the maximum in the second.  S loses about -log10(x^3/3) of the 40 digits
+    to cancellation, so x >= 1e-3 keeps over 30.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        N, K, Tc = Decimal(N), Decimal(K), Decimal(Tc)
+
+        def shape(x):
+            a = (-x).exp()
+            return x - (3 - 4 * a + a * a) / 2
+
+        def slope(tau):
+            x = tau / Tc
+            fprime = (x * (1 - (-x).exp()) ** 2 - 2 * shape(x)) / x ** 3
+            return -N * N / (tau * tau) + K * K * fprime
+
+        def root(lo, hi, s):
+            """s * slope goes from < 0 at lo to > 0 at hi."""
+            assert s * slope(lo) < 0 < s * slope(hi)
+            while hi - lo > hi * Decimal("1e-20"):
+                mid = (lo + hi) / 2
+                if s * slope(mid) > 0:
+                    hi = mid
+                else:
+                    lo = mid
+            x = lo / Tc
+            sigma = (N * N / lo + K * K * Tc ** 3 * shape(x) / (lo * lo)).sqrt()
+            return float(lo), float(sigma)
+
+        r = N / (K * Tc)
+        split = Decimal("1.0107") * Tc
+        return (*root(r * Tc, split, 1), *root(split, 100 * Tc, -1))

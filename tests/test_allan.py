@@ -16,8 +16,8 @@ from gyrofde.allan import (AllanCurve, allan_landmarks_analytic,
                            identify_from_max)
 from gyrofde.gyro import DriftSpec, GyroErrorModel, RateTrace, synthesize_rate_trace
 from gyrofde.units import DEG
-from oracles import (allan_variance_empirical_per_tau, estimator_dof_direct,
-                     estimator_dof_per_tau)
+from oracles import (allan_landmarks_decimal, allan_variance_empirical_per_tau,
+                     estimator_dof_direct, estimator_dof_per_tau)
 
 SEC = 1.0 / 3600.0
 
@@ -139,6 +139,33 @@ class TestLandmarks:
         assert a.tau_min * 100 <= 2.0
         assert b.sigma_min == pytest.approx(a.sigma_min, rel=0.01)
 
+    def test_random_models_match_the_decimal_bisection(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            # r >= 1e-3 keeps the minimum at x >= 1e-3, where the oracle's
+            # shape keeps over 30 of its 40 digits
+            r = 10 ** rng.uniform(-3.0, math.log10(0.25))
+            K, Tc = 10 ** rng.uniform(-4.0, 0.0) * DEG, 10 ** rng.uniform(-2.0, 2.0)
+            lm = allan_landmarks_analytic(GyroErrorModel(r * K * Tc, (DriftSpec(K, Tc),)))
+            tau_min, sigma_min, tau_max, sigma_max = allan_landmarks_decimal(r * K * Tc, K, Tc)
+            assert lm.tau_min == pytest.approx(tau_min, rel=1e-13, abs=0)
+            assert lm.tau_max == pytest.approx(tau_max, rel=1e-13, abs=0)
+            assert lm.sigma_min == pytest.approx(sigma_min, rel=1e-14, abs=0)
+            assert lm.sigma_max == pytest.approx(sigma_max, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("K, Tc", [(1e-8, 1e-4), (0.03, 10.0), (1e2, 1e4)])
+    def test_landmarks_exist_only_below_r_0_2518(self, K, Tc):
+        """tau^2 times the slope over (K Tc)^2 is x^2 f'(x) - r^2, and
+        x^2 f'(x) peaks at 0.25180^2, at x = 1.0107."""
+        def landmarks(r):
+            m = GyroErrorModel(r * K * DEG * Tc, (DriftSpec(K * DEG, Tc),))
+            lm = allan_landmarks_analytic(m)
+            return lm.tau_min, lm.sigma_min, lm.tau_max, lm.sigma_max
+
+        tau_min, sigma_min, tau_max, sigma_max = landmarks(0.2515)
+        assert tau_min < 1.0107 * Tc < tau_max and sigma_min < sigma_max
+        assert landmarks(0.2519) == (None, None, None, None)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             allan_landmarks_analytic(GyroErrorModel(1.0, ()))
@@ -154,40 +181,6 @@ class TestLandmarks:
     ([], None), ([1.0], None), ([1.0, 2.0], None)])
 def test_interior_maximum(sig, want):
     assert allan._interior_maximum(np.array(sig, dtype=float)) == want
-
-
-class TestGoldenSearch:
-    @pytest.mark.parametrize("model", [
-        FIG3,
-        GyroErrorModel.from_deg(1e-4, ((0.03, 0.05),)),
-        GyroErrorModel.from_deg(5e-4, ((0.3, 0.02),)),
-    ])
-    def test_bit_identical_to_scipy_golden(self, model, monkeypatch):
-        from scipy.optimize import minimize_scalar
-        calls = []
-        search = allan._golden_log_extremum
-
-        def recording(f, lo, mid, hi):
-            calls.append((f, lo, mid, hi))
-            return search(f, lo, mid, hi)
-
-        monkeypatch.setattr(allan, "_golden_log_extremum", recording)
-        allan_landmarks_analytic(model)
-        assert len(calls) == 2  # the minimum and the maximum
-        for f, lo, mid, hi in calls:
-            ref = minimize_scalar(lambda u: f(math.exp(u)),
-                                  bracket=(math.log(lo), math.log(mid), math.log(hi)),
-                                  method="golden", options={"xtol": 1e-12})
-            assert search(f, lo, mid, hi) == math.exp(ref.x)
-
-    def test_rejects_bad_brackets(self):
-        f = lambda t: (math.log(t) - 1.0) ** 2
-        with pytest.raises(ValueError, match="lo < mid < hi"):
-            allan._golden_log_extremum(f, 1.0, 1.0, 10.0)
-        with pytest.raises(ValueError, match="lo < mid < hi"):
-            allan._golden_log_extremum(f, 10.0, 3.0, 1.0)
-        with pytest.raises(ValueError, match="f\\(mid\\)"):
-            allan._golden_log_extremum(f, 3.0, 10.0, 30.0)
 
 
 class TestIdentifyFromMax:

@@ -696,6 +696,17 @@ def test_allan_closed_forms_load_no_numpy_ma(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    """RFC 8259 lets a parser ignore a leading UTF-8 byte-order mark."""
+    text = json.dumps(BENCHMARK).encode()
+    runs = []
+    for name, data in (("plain.json", text), ("bom.json", b"\xef\xbb\xbf" + text)):
+        (tmp_path / name).write_bytes(data)
+        rc = main(["check", "--config", str(tmp_path / name)])
+        runs.append((rc, capsys.readouterr()))
+    assert runs[0] == runs[1] and runs[0][1].err == ""
+
+
 def _schema_cases():
     drift = {"K": "0.01 deg_per_h_3_2", "Tc": "1 h"}
     return {
@@ -727,6 +738,7 @@ def test_config_schema_error_exits_2_with_one_line(tmp_path, capsys, case):
 
 
 NEGATIVE = "must be finite and >= 0, got -0.017453292519943295"  # -1 deg in rad
+LOG_RANGE = "expected 'lo,hi,points' with finite ends > 0 and at most 2**62 points, got"
 
 
 def _bad_drift_config(N):
@@ -742,12 +754,13 @@ BAD_VALUES = {
                        f"N: N {NEGATIVE}"),
     "config-K": (["check", "--config", _bad_drift_config("1 deg_per_sqrt_h")],
                  f"drifts[0].K: K {NEGATIVE}"),
-    "grid-N-and-Tc": (["grid", "--n-range=-1,-0.1,3", "--tc", "0 h"], f"N {NEGATIVE}"),
+    "grid-N-and-Tc": (["grid", "--n-range=-1,-0.1,3", "--tc", "0 h"],
+                      f"--n-range: {LOG_RANGE} '-1,-0.1,3'"),
     "grid-Tc": (["grid", "--n-range=0.1,1,3", "--tc", "0 h"],
                 "Tc must be finite and > 0, got 0.0"),
     "grid-N-and-K": (["grid", "--n-range=-1,-0.1,3", "--k-range=-1,-0.1,3"],
-                     f"N {NEGATIVE}"),
-    "contour-N": (["contour", "--n-range=-1,-0.1,3"], f"N {NEGATIVE}"),
+                     f"--n-range: {LOG_RANGE} '-1,-0.1,3'"),
+    "contour-N": (["contour", "--n-range=-1,-0.1,3"], f"--n-range: {LOG_RANGE} '-1,-0.1,3'"),
     "analytic-noise-subnormal": (
         ["analytic", "--noise", "1e-320 deg_per_sqrt_h"],
         "N: value out of numeric range in '1e-320 deg_per_sqrt_h'"),

@@ -92,7 +92,7 @@ DIGESTS = {
         "empirical_allan.csv":
             "8a05ee5812355eb6955c512e450f5668feb0455f995cbb001badaeb0da8cf484",
         "landmarks.json":
-            "5bacbc169bf5cbfaeed239e3064fa03b47ff4f787feb69dd7b715dda40807bf8",
+            "78fdabf6d386cb5216fafb30ccc340e95541902bd365dc313c3b1cc5f81f9b14",
     },
     "simulate-workers-1": {
         "ensemble.csv":
