@@ -211,6 +211,11 @@ def allan_landmarks_analytic(m: GyroErrorModel) -> AllanLandmarks:
     lo = min(tau_min_cf, Tc) / 1e3
     hi = max(tau_max_cf, tau_min_cf) * 1e3
     grid = np.geomspace(lo, hi, max(200, int(60 * math.log10(hi / lo))))
+    # x^2 f'(x) peaks at this x: whenever both landmarks exist the slope is
+    # > 0 there, so the scan brackets them even when they lie closer than
+    # one grid cell (r just under 0.2518)
+    peak = 1.0106779430343892 * np.float64(Tc)
+    grid = np.insert(grid, np.searchsorted(grid, peak), peak)
     slope = _allan_slope(m, grid)
 
     def extremum(s):

@@ -371,6 +371,9 @@ def _cmd_allan(args) -> int:
                        args.empirical_out))
     if args.landmarks_out:
         lm = allan_mod.allan_landmarks_analytic(cfg.model)
+        if lm.sigma_max == 0.0:
+            raise ConfigError("--noise / --drift: the Allan curve underflows to 0 at its "
+                              "maximum, so no drift can be identified from it")
         ident = (None if lm.tau_max is None
                  else allan_mod.identify_from_max(lm.tau_max, lm.sigma_max))
         writes.append((lambda path: allan_mod.landmarks_to_json(path, lm, ident),

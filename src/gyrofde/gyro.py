@@ -164,7 +164,8 @@ def _load_linear_filter():
 
 @functools.cache
 def _first_order_filter():
-    """(q, x, s) -> y with y_j = q y_{j-1} + x_j from y_{-1} = s.
+    """(q, x, s) -> y with y_j = q y_{j-1} + x_j from y_{-1} = s, along the
+    last axis of x; s is a float, or an array of one start per row of x.
 
     The kernel is private to scipy, so it is used only if it loads and
     reproduces that recursion bit for bit on a small input; otherwise this
@@ -175,7 +176,8 @@ def _first_order_filter():
         kernel = _load_linear_filter()
 
         def run(q, x, s):
-            return kernel(np.array([1.0]), np.array([1.0, -q]), x, -1, np.array([q * s]))[0]
+            return kernel(np.array([1.0]), np.array([1.0, -q]), x, -1,
+                          np.asarray(q * s)[..., None])[0]
 
         if run(q, x, s).tobytes() == want.tobytes():
             return run
@@ -183,7 +185,7 @@ def _first_order_filter():
         pass  # no file, a file that does not load, or a kernel of another signature
     from scipy.signal import lfilter
 
-    return lambda q, x, s: lfilter([1.0], [1.0, -q], x, zi=np.array([q * s]))[0]
+    return lambda q, x, s: lfilter([1.0], [1.0, -q], x, zi=np.asarray(q * s)[..., None])[0]
 
 
 def _add_drift_states(out: np.ndarray, d: DriftSpec, dt: float,
@@ -205,21 +207,20 @@ def _add_drift_states(out: np.ndarray, d: DriftSpec, dt: float,
         out[1:] += _first_order_filter()(q, impulses, s0)
 
 
-def _rate_series(m: GyroErrorModel, dt: float, seed, out: np.ndarray,
-                 prefix: tuple[int, ...] = ()) -> np.ndarray:
+def _rate_series(m: GyroErrorModel, dt: float, seed, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with the per-step rate error, rad/h, from keyed substreams
     of ``seed``, and return it.
 
-    Process p's streams are keyed (*prefix, p, 0) for the turn-on draw and
-    (*prefix, p, 1) for per-step samples; noise is process 0, drift i is
-    process 1+i.  Separating the turn-on draw keeps all in-flight randomness
-    identical when only the turn_on flag changes.
+    Process p's streams are keyed (p, 0) for the turn-on draw and (p, 1) for
+    per-step samples; noise is process 0, drift i is process 1+i.  Separating
+    the turn-on draw keeps all in-flight randomness identical when only the
+    turn_on flag changes.
     """
-    substream(seed, *prefix, 0, 1).standard_normal(out=out)
+    substream(seed, 0, 1).standard_normal(out=out)
     out *= m.N / math.sqrt(dt)
     for i, d in enumerate(m.drifts):
-        _add_drift_states(out, d, dt, substream(seed, *prefix, 1 + i, 0),
-                          substream(seed, *prefix, 1 + i, 1), m.turn_on)
+        _add_drift_states(out, d, dt, substream(seed, 1 + i, 0),
+                          substream(seed, 1 + i, 1), m.turn_on)
     return out
 
 

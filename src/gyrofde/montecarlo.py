@@ -1,11 +1,24 @@
 """Discrete-time flight simulation and ensemble statistics.
 
 Each flight carries two independent gyro axes: pitch errors integrate into
-along-track arc-length error R * dtheta, yaw errors integrate twice (rate ->
-heading -> lateral offset) into cross-track error y with dy = v dtheta dt.
-Flight (g, i) draws every random number from substreams keyed on
-(master_seed, g, i, axis, process), so ensembles are bit-reproducible and
-independent of execution order and worker count.
+along-track arc-length error R * theta, yaw errors integrate twice (rate ->
+heading -> lateral offset) into cross-track error y with dy = v theta dt.
+
+The flight model is a zero-order-hold step of dt.  An axis's state is
+x = (s_1..s_D, theta, y), its drift states, angle and offset, and one step
+is linear-Gaussian, x <- F x + B u, with u standard normal:
+
+    s_i   <- q_i s_i + K_i sqrt(dt) w_i,      q_i = exp(-dt/Tc_i)
+    theta <- theta + dt sum_i s_i + N sqrt(dt) z
+    y     <- y + v dt theta                   (the new theta)
+
+So k steps are one draw from (F^k, Q_k), which repeated squaring builds from
+the one-step map, once per distinct interval length.  A flight is sampled
+exactly, from the same law as a step-by-step integration, at its stat
+indices only: the cost grows with the number of stat times and with
+log2(stride), not with the number of steps.  Flight (g, i) draws every
+random number from one generator keyed on (master_seed, g, i), so ensembles
+are bit-reproducible and independent of execution order and worker count.
 """
 
 from __future__ import annotations
@@ -17,8 +30,8 @@ import numpy as np
 
 from ._io import write_csv, write_json
 from .allan import _chi2_band
-from .budget import FlightProfile, fde_sigma
-from .gyro import GyroErrorModel, _rate_series
+from .budget import FlightProfile, _drift_pairs, fde_sigma
+from .gyro import GyroErrorModel, _first_order_filter
 
 __all__ = [
     "EnsembleStats", "ComparisonReport",
@@ -57,24 +70,143 @@ class EnsembleStats:
                   *self.std.reshape(2, -1))
 
 
-def _flight_errors(m: GyroErrorModel, p: FlightProfile, seed, idx: np.ndarray,
-                   buf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (axis x len(idx)) with one flight's along- and cross-track
-    errors (km) at the step indices ``idx``, which start at 0, where both
-    are exact zeros.  ``buf`` (n_steps entries) holds each axis's rate, then
-    its angle sums, in place."""
-    dt = p.dt
-    at = idx[1:] - 1
-    out[:, 0] = 0.0
+def _step_map(m: GyroErrorModel, p: FlightProfile):
+    """(F, Q, turn-on stds) of one step of dt on the state (s_1..s_D, theta, y).
+
+    A drift with K = 0 is left out, by the closed forms' rule.  The turn-on
+    std of drift i is its stationary K_i sqrt(Tc_i/2), or 0 without turn-on.
+    """
+    drifts = _drift_pairs(m)
+    D = len(drifts)
+    # numpy operands: an overflow meets the caller's np.errstate
+    dt, v = np.float64(p.dt), np.float64(p.v)
+    F, B = np.eye(D + 2), np.zeros((D + 2, D + 1))
+    for i, (K, Tc) in enumerate(drifts):
+        F[i, i] = np.exp(-(p.dt / Tc))
+        B[i, i] = K * np.sqrt(dt)
+    F[D, :D] = dt
+    F[D + 1, :D] = v * dt * dt
+    F[D + 1, D] = v * dt
+    B[D, D] = np.float64(m.N) * np.sqrt(dt)
+    B[D + 1, D] = v * dt * B[D, D]
+    sd = np.array([K * np.sqrt(Tc / 2.0) if m.turn_on else 0.0 for K, Tc in drifts])
+    return F, B @ B.T, sd
+
+
+def _then(a, b):
+    """Interval a, then interval b: (F_b F_a, F_b Q_a F_b^T + Q_b)."""
+    (Fa, Qa), (Fb, Qb) = a, b
+    return Fb @ Fa, Fb @ Qa @ Fb.T + Qb
+
+
+def _interval_map(F: np.ndarray, Q: np.ndarray, k: int):
+    """(F^k, Q_k) of k >= 1 steps of the one-step map (F, Q), by repeated
+    squaring."""
+    result, power = None, (F, Q)
+    while True:
+        if k & 1:
+            result = power if result is None else _then(result, power)
+        k >>= 1
+        if not k:
+            return result
+        power = _then(power, power)
+
+
+def _noise_factor(Q: np.ndarray) -> np.ndarray:
+    """L with L L^T = Q, one column per direction of nonzero variance.
+
+    The eigenvectors come from Q scaled to a unit diagonal, so states of
+    very different size (an angle, an offset in km) factor alike; a
+    direction whose eigenvalue is at rounding level is dropped, as is a
+    state of no variance."""
+    scale = np.sqrt(np.diag(Q))
+    live = scale > 0.0
+    L = np.zeros((len(Q), 0))
+    if live.any():
+        s = scale[live]
+        w, V = np.linalg.eigh(Q[np.ix_(live, live)] / s[:, None] / s)
+        keep = w > len(w) * np.finfo(float).eps * w[-1]
+        L = np.zeros((len(Q), int(keep.sum())))
+        L[live] = s[:, None] * V[:, keep] * np.sqrt(w[keep])
+    return L
+
+
+def _interval_model(m: GyroErrorModel, p: FlightProfile, idx: np.ndarray):
+    """(turn-on stds, segments) of the flight between the stat indices idx,
+    which start at 0.  Each segment is (count, F^k, L): count consecutive
+    intervals of k steps, with L L^T = Q_k.  Every interval has the stride's
+    length but the last, which may be shorter."""
+    F, Q, sd = _step_map(m, p)
+    M = len(idx) - 1
+    k, last = int(idx[1] - idx[0]), int(idx[-1] - idx[-2])
+    lengths = [(M - 1, k), (1, last)] if last != k else [(M, k)]
+    segments = []
+    for count, length in lengths:
+        Fk, Qk = _interval_map(F, Q, length)
+        segments.append((count, Fk, _noise_factor(Qk)))
+    return sd, tuple(segments)
+
+
+def _flight_errors(model, p: FlightProfile, rngs) -> np.ndarray:
+    """(flight, axis, stat time) along- and cross-track errors (km) of the
+    flights that draw from ``rngs``, one generator each, at the stat times
+    of ``model`` (see _interval_model); both are exact zeros at time 0.
+
+    Per axis a flight draws its D turn-on normals, used or not, then each
+    segment's normals, a (rank, count) block.  The drift states follow
+    s_j = q^k s_{j-1} + noise, and theta and y sum their increments; every
+    operation is elementwise or along a flight's own row, so a flight's
+    errors do not depend on the other flights drawn with it."""
+    sd, segments = model
+    D, B = len(sd), len(rngs)
+    M = sum(count for count, _, _ in segments)
+    ends = np.cumsum([D] + [count * L.shape[1] for count, _, L in segments])
+    z = np.empty((B, ends[-1]))
+    out = np.empty((B, 2, M + 1))
+    out[:, :, 0] = 0.0
+
+    def coef(row, col):
+        """F^k[row, col] of every interval."""
+        return np.concatenate([np.full(count, Fk[row, col]) for count, Fk, _ in segments])
+
+    def noise(c):
+        """State c's part of every interval's draw: (flight, interval)."""
+        u, j = np.zeros((B, M)), 0
+        for (count, _, L), lo, hi in zip(segments, ends[:-1], ends[1:]):
+            draws = z[:, lo:hi].reshape(B, L.shape[1], count)
+            for r in range(L.shape[1]):
+                u[:, j:j + count] += L[c, r] * draws[:, r]
+            j += count
+        return u
+
+    # the drift recursion runs over the first M - 1 intervals, which share
+    # the first segment's map
+    q = segments[0][1].diagonal()
     for axis in range(2):
-        _rate_series(m, dt, seed, buf, prefix=(axis,))
-        np.cumsum(buf, out=buf)
-        buf *= dt  # dtheta
+        for b, rng in enumerate(rngs):
+            rng.standard_normal(out=z[b])
+        s = []  # s[i][:, j]: drift i at the start of interval j
+        for i in range(D):
+            si = np.empty((B, M))
+            si[:, 0] = sd[i] * z[:, i]
+            if M > 1:
+                si[:, 1:] = _first_order_filter()(q[i], noise(i)[:, :-1], si[:, 0])
+            s.append(si)
+        inc = noise(D)
+        for i in range(D):
+            inc += coef(D, i) * s[i]
+        theta = out[:, axis, 1:]
+        np.cumsum(inc, axis=1, out=theta)
         if axis == 0:
-            out[0, 1:] = p.R * buf[at]
-        else:
-            np.cumsum(buf, out=buf)
-            out[1, 1:] = buf[at] * (p.v * dt)
+            theta *= p.R
+            continue
+        before = np.zeros((B, M))  # theta at each interval's start
+        before[:, 1:] = theta[:, :-1]
+        inc = noise(D + 1)
+        inc += coef(D + 1, D) * before
+        for i in range(D):
+            inc += coef(D + 1, i) * s[i]
+        np.cumsum(inc, axis=1, out=out[:, 1, 1:])
     return out
 
 
@@ -82,23 +214,31 @@ def simulate_flight(m: GyroErrorModel, p: FlightProfile,
                     seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One flight's times, along- and cross-track errors (km): n_steps+1 entries
     each, from exact zeros.  ``seed`` is an int or a keyed SeedSequence."""
-    n = p.n_steps
-    idx = np.arange(n + 1)
-    atrk, xtrk = _flight_errors(m, p, seed, idx, np.empty(n), np.empty((2, n + 1)))
-    return idx * p.dt, atrk, xtrk
+    idx = np.arange(p.n_steps + 1)
+    errors = _flight_errors(_interval_model(m, p, idx), p, [np.random.default_rng(seed)])
+    return idx * p.dt, errors[0, 0], errors[0, 1]
+
+
+# a block of flights holds about this many floats per array
+_BLOCK_FLOATS = 2 ** 16
 
 
 def _group_accumulators(args) -> np.ndarray:
     """The (s, ss) x axis x time sums and sums of squares of one group's
-    flight errors at the stat indices, every flight integrated in one buffer."""
-    m, p, g, n_flights, master_seed, idx = args
-    sums = np.zeros((2, 2, len(idx)))
-    buf, v = np.empty(p.n_steps), np.empty((2, len(idx)))
-    for i in range(n_flights):
-        key = np.random.SeedSequence(entropy=master_seed, spawn_key=(g, i))
-        _flight_errors(m, p, key, idx, buf, v)
-        sums[0] += v
-        sums[1] += v * v
+    flight errors at the stat times, drawn a block of flights at a time."""
+    model, p, g, n_flights, master_seed = args
+    sd, segments = model
+    n_times = 1 + sum(count for count, _, _ in segments)
+    block = max(1, _BLOCK_FLOATS // (n_times * (len(sd) + 2)))
+    sums = np.zeros((2, 2, n_times))
+    for first in range(0, n_flights, block):
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
+                                                             spawn_key=(g, i)))
+                for i in range(first, min(first + block, n_flights))]
+        v = _flight_errors(model, p, rngs)
+        sums[0] += v.sum(axis=0)
+        v *= v
+        sums[1] += v.sum(axis=0)
     return sums
 
 
@@ -113,10 +253,11 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
                  n_workers: int = 1) -> EnsembleStats:
     """Simulate n_groups x n_flights flights and reduce to per-time group stds.
 
-    ``stat_stride`` thins the time grid the statistics are recorded on (the
-    simulation itself always runs at the profile step).  ``n_workers`` groups
-    may run in separate processes; the result is bit-identical for any worker
-    count because each group is reduced independently in flight order.
+    ``stat_stride`` sets the time grid the statistics are recorded on, and
+    the flights are sampled on that grid alone, from the law of the profile
+    step.  ``n_workers`` groups may run in separate processes; the result is
+    bit-identical for any worker count because each group is reduced
+    independently in flight order.
     """
     if n_flights < 2:
         raise ValueError("need at least 2 flights per group")
@@ -136,7 +277,8 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
     # (s, ss) x axis x group x time, allocated before any flight runs: a
     # group count too large to hold fails here, at once
     sums = np.zeros((2, 2, n_groups, len(idx)))
-    jobs = ((m, p, g, n_flights, master_seed, idx) for g in range(n_groups))
+    model = _interval_model(m, p, idx)
+    jobs = ((model, p, g, n_flights, master_seed) for g in range(n_groups))
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         # a worker started by spawn or forkserver does not inherit the

@@ -9,8 +9,10 @@ Five references follow: the scalar shape series, for the package's array
 kernels; the one-step drift and noise operations, for its vectorized rate
 synthesis; the estimator dof summed over every lag, for its closed-form
 tail; the Allan estimator and its dof with all their work done per tau,
-for the kernels that share it across taus; and the Allan landmarks bisected
-in 40-digit decimal arithmetic, for the package's double bisection.
+for the kernels that share it across taus; the Allan landmarks bisected
+in 40-digit decimal arithmetic, for the package's double bisection; and the
+flight's covariance carried one step of dt at a time, for the Monte-Carlo
+sampler's interval maps and for the closed forms' discretization bias.
 """
 
 import math
@@ -235,3 +237,56 @@ def allan_landmarks_decimal(N: float, K: float, Tc: float):
         r = N / (K * Tc)
         split = Decimal("1.0107") * Tc
         return (*root(r * Tc, split, 1), *root(split, 100 * Tc, -1))
+
+
+# The Monte-Carlo flight model, one zero-order-hold step of dt at a time.
+# An axis's state is (s_1..s_D, theta, y), drifts with K = 0 left out:
+#     s_i   <- exp(-dt/Tc_i) s_i + K_i sqrt(dt) w_i
+#     theta <- theta + dt sum_i s_i + N sqrt(dt) z
+#     y     <- y + v dt theta     (the new theta)
+
+def flight_step(m, p):
+    """(F, Q) of one step: x <- F x + noise of covariance Q, entry by entry."""
+    drifts = [(d.K, d.Tc) for d in m.drifts if d.K != 0.0]
+    D = len(drifts)
+    F, Q = np.eye(D + 2), np.zeros((D + 2, D + 2))
+    for i, (K, Tc) in enumerate(drifts):
+        F[i, i] = math.exp(-p.dt / Tc)
+        F[D, i] = p.dt
+        F[D + 1, i] = p.v * p.dt * p.dt
+        Q[i, i] = K * K * p.dt
+    F[D + 1, D] = p.v * p.dt
+    noise = m.N * m.N * p.dt  # theta's increment; y takes v dt times it
+    Q[D, D] = noise
+    Q[D, D + 1] = Q[D + 1, D] = p.v * p.dt * noise
+    Q[D + 1, D + 1] = (p.v * p.dt) ** 2 * noise
+    return F, Q
+
+
+def flight_steps(m, p, k: int):
+    """(F^k, Q_k) of k steps: Phi <- F Phi and P <- F P F^T + Q, from I and 0."""
+    F, Q = flight_step(m, p)
+    Phi, P = np.eye(len(F)), np.zeros_like(Q)
+    for _ in range(k):
+        Phi = F @ Phi
+        P = F @ P @ F.T + Q
+    return Phi, P
+
+
+def flight_variances(m, p, idx):
+    """(along-track, cross-track) variances, km^2, at the step indices idx
+    (increasing), from the turn-on covariance diag(K^2 Tc/2), or 0 without
+    turn-on, carried one step at a time."""
+    F, Q = flight_step(m, p)
+    D = len(F) - 2
+    drifts = [(d.K, d.Tc) for d in m.drifts if d.K != 0.0]
+    P = np.diag([K * K * Tc / 2.0 if m.turn_on else 0.0 for K, Tc in drifts] + [0.0, 0.0])
+    atrk, xtrk, step = [], [], 0
+    for k in idx:
+        for _ in range(k - step):
+            P = F @ P @ F.T + Q
+        step = k
+        atrk.append(p.R * p.R * P[D, D])
+        xtrk.append(P[D + 1, D + 1])
+    return np.array(atrk), np.array(xtrk)
+

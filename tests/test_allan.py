@@ -166,6 +166,21 @@ class TestLandmarks:
         assert tau_min < 1.0107 * Tc < tau_max and sigma_min < sigma_max
         assert landmarks(0.2519) == (None, None, None, None)
 
+    @pytest.mark.parametrize("r", [0.25178, 0.25179])
+    def test_landmarks_closer_than_a_grid_cell_are_found(self, r):
+        """Just under the threshold both landmarks lie within one cell of
+        the slope scan's grid; the scan's point at the peak of x^2 f'(x)
+        separates them."""
+        K, Tc = 0.03 * DEG, 10.0
+        lm = allan_landmarks_analytic(GyroErrorModel(r * K * Tc, (DriftSpec(K, Tc),)))
+        tau_min, sigma_min, tau_max, sigma_max = allan_landmarks_decimal(r * K * Tc, K, Tc)
+        assert lm.tau_min == pytest.approx(tau_min, rel=1e-13, abs=0)
+        assert lm.tau_max == pytest.approx(tau_max, rel=1e-13, abs=0)
+        assert lm.sigma_min == pytest.approx(sigma_min, rel=1e-14, abs=0)
+        assert lm.sigma_max == pytest.approx(sigma_max, rel=1e-14, abs=0)
+        above = allan_landmarks_analytic(GyroErrorModel(0.2519 * K * Tc, (DriftSpec(K, Tc),)))
+        assert (above.tau_min, above.sigma_min, above.tau_max, above.sigma_max) == (None,) * 4
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             allan_landmarks_analytic(GyroErrorModel(1.0, ()))

@@ -370,3 +370,28 @@ class TestArrayKernels:
             assert col.shape == times.shape
             assert np.array_equal(col, [getattr(o, f.name) for o in one]), f.name
             assert isinstance(getattr(one[-1], f.name), float)
+
+
+@pytest.mark.parametrize("m", [
+    GyroErrorModel.from_deg(0.005),
+    GyroErrorModel.from_deg(0.005, ((0.01, 1.0),)),
+    GyroErrorModel.from_deg(0.005, ((0.01, 1.0),), turn_on=False),
+    GyroErrorModel.from_deg(0.0, ((0.01, 1e-3),)),
+    GyroErrorModel.from_deg(0.0, ((0.01, 1e4),), turn_on=False),
+    GyroErrorModel.from_deg(0.005, ((0.01, 1e-3), (0.02, 0.3), (0.003, 1e4))),
+    GyroErrorModel.from_deg(0.005, ((0.01, 1e-3), (0.02, 0.3), (0.003, 1e4)),
+                            turn_on=False),
+], ids=["noise", "one-drift", "one-drift-cold", "Tc-1e-3", "Tc-1e4-cold",
+        "three-drifts", "three-drifts-cold"])
+def test_closed_forms_are_the_step_recursion_to_its_discretization_bias(m):
+    """The covariance carried one step of dt at a time is the zero-order-hold
+    flight the Monte-Carlo samples; fde_sigma is its dt -> 0 limit, within
+    1.5 dt / min(t, Tc_min) relative at every default stat time of a 10 h
+    flight at 1 s steps (Tc from 1e-3 h to 1e4 h)."""
+    idx = np.arange(P.n_steps // 40, P.n_steps + 1, P.n_steps // 40)
+    atrk, xtrk = oracles.flight_variances(m, P, idx)
+    t = idx * P.dt
+    b = fde_sigma(m, P, t)
+    bound = 1.5 * P.dt / np.minimum(t, min((d.Tc for d in m.drifts), default=np.inf))
+    assert np.all(np.abs(np.sqrt(atrk) / b.sigma_atrk - 1.0) <= bound)
+    assert np.all(np.abs(np.sqrt(xtrk) / b.sigma_xtrk - 1.0) <= bound)

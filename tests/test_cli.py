@@ -406,6 +406,10 @@ def _bad_input_cases(tmp_path):
         "allan-landmarks-bracket-zero": [
             "allan", "--noise", "1e-300 deg_per_sqrt_h", "--drift",
             "1e300 deg_per_h_3_2, 1 h", "--landmarks-out", str(tmp_path / "l.json")],
+        # sigma^2 underflows to 0 at the maximum the slope finds
+        "allan-maximum-underflow": [
+            "allan", "--noise", "1.3e-168 deg_per_sqrt_h", "--drift",
+            "6.2e-99 deg_per_h_3_2, 5.13e-53 h", "--landmarks-out", str(tmp_path / "l.json")],
         "fit-allan-K-overflow": ["fit-allan", "--tau-max", "1e-300 s",
                                  "--sigma-max", "1e300 deg_per_h", "--out", out],
         "fit-allan-curve-and-tau-max": ["fit-allan", "--curve", str(curves["interior-max"]),
@@ -438,7 +442,7 @@ def _bad_input_cases(tmp_path):
     "seed-true", "seed-negative", "check-v-overflow", "check-K-overflow",
     "check-radius-overflow", "check-target-overflow", "allan-K-overflow",
     "allan-landmarks-bracket-overflow", "allan-landmarks-bracket-zero",
-    "fit-allan-K-overflow", "fit-allan-curve-and-tau-max",
+    "allan-maximum-underflow", "fit-allan-K-overflow", "fit-allan-curve-and-tau-max",
     "fit-allan-curve-and-landmark", "fit-allan-one-row",
     "fit-allan-bad-number", "fit-allan-nan-sigma", "fit-allan-rate-trace",
     "fit-allan-unordered-taus", "fit-allan-negative-tau", "analytic-points-not-int",
@@ -468,6 +472,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
         assert len(err[0]) < 300
     if case.startswith("allan-landmarks-"):  # numpy's message, not a conversion's
         assert "encountered in" in err[0]
+        assert not (tmp_path / "l.json").exists()
+    if case == "allan-maximum-underflow":
+        assert "--noise / --drift:" in err[0] and "underflows" in err[0]
         assert not (tmp_path / "l.json").exists()
     assert not (tmp_path / "out.csv").exists()
 

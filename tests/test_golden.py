@@ -96,9 +96,9 @@ DIGESTS = {
     },
     "simulate-workers-1": {
         "ensemble.csv":
-            "386d0d62b4074807fc677f1e557d1b3ced2d96c363ae18db23bd86e8ab83a96e",
+            "8add6ba30e7dafb4beda769d1400968a2656eef37c1bcb1aecdad4f9630fed18",
         "report.json":
-            "e930ec92203b5d646d7da4657c38c1f3d6e16344e0cb5481a728e46cda7aab39",
+            "2f3c745cc598c9d6c14047c78db91826b2f56f8740cadc6cbde0c54a75085579",
     },
 }
 

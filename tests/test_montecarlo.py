@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gyrofde.montecarlo as mc
+import oracles
 from gyrofde.budget import FlightProfile, fde_sigma
 from gyrofde.gyro import GyroErrorModel
 from gyrofde.montecarlo import (EnsembleStats, compare_to_analytic,
@@ -13,6 +15,18 @@ SHORT = FlightProfile(duration=0.1, dt=SEC)
 
 def keyed(entropy, *key):
     return np.random.SeedSequence(entropy=entropy, spawn_key=key)
+
+
+def stat_indices(p, stride):
+    """run_ensemble's stat indices: every stride steps, and the last step."""
+    idx = np.arange(0, p.n_steps + 1, stride)
+    return idx if idx[-1] == p.n_steps else np.append(idx, p.n_steps)
+
+
+def one_flight(m, p, idx, key):
+    """The (axis, stat time) errors of the flight keyed ``key``, sampled alone."""
+    return mc._flight_errors(mc._interval_model(m, p, idx), p,
+                             [np.random.default_rng(key)])[0]
 
 
 class TestSimulateFlight:
@@ -78,8 +92,8 @@ class TestRunEnsemble:
         idx = np.arange(0, SHORT.n_steps + 1, 90)
         np.testing.assert_array_equal(stats.times, idx * SHORT.dt)
         # (group, flight, axis, time) -> (axis, group, flight, time)
-        errs = np.array([[simulate_flight(m, SHORT, keyed(8, g, i))[1:]
-                          for i in range(4)] for g in range(3)])[..., idx]
+        errs = np.array([[one_flight(m, SHORT, idx, keyed(8, g, i))
+                          for i in range(4)] for g in range(3)])
         errs = errs.transpose(2, 0, 1, 3)
         np.testing.assert_allclose(stats.std, errs.std(axis=2, ddof=1),
                                    rtol=1e-12, atol=0)
@@ -231,7 +245,7 @@ class TestPhysicalProperties:
             assert abs(a - b) / b < 0.01
 
 
-@pytest.mark.parametrize("m", [
+MODELS = [
     GyroErrorModel.from_deg(0.005),
     GyroErrorModel.from_deg(0.005, ((0.01, 1.0),)),
     GyroErrorModel.from_deg(0.005, ((0.01, 1.0),), turn_on=False),
@@ -239,27 +253,104 @@ class TestPhysicalProperties:
     GyroErrorModel.from_deg(0.005, ((0.01, 1.0), (0.03, 0.02)), turn_on=False),
     GyroErrorModel(),
     GyroErrorModel.from_deg(0.0, ((0.0, 1.0),), turn_on=False),
-], ids=["noise", "one-drift", "one-drift-cold", "two-drifts", "two-drifts-cold",
-        "zero", "zero-drift-cold"])
+]
+MODEL_IDS = ["noise", "one-drift", "one-drift-cold", "two-drifts", "two-drifts-cold",
+             "zero", "zero-drift-cold"]
+
+
+@pytest.mark.parametrize("m", MODELS, ids=MODEL_IDS)
 @pytest.mark.parametrize("stride", [1, 7])
 def test_simulate_flight_is_the_ensemble_path_at_every_index(m, stride, monkeypatch):
-    """What run_ensemble accumulates for a flight, from one buffer reused
-    across flights and axes, is simulate_flight's errors at the stat
-    indices, signed zeros included."""
-    import gyrofde.montecarlo as mc
-    seen = []
+    """What run_ensemble accumulates for flight (g, i), drawn in a block
+    with the other flights of its group, is that flight sampled alone at
+    the same stat indices, bit for bit; at a stride of 1 it is
+    simulate_flight's errors."""
+    seen = []  # each block's errors, kept from the caller's in-place use
     errors = mc._flight_errors
     monkeypatch.setattr(mc, "_flight_errors",
-                        lambda *args: seen.append(errors(*args).copy()) or seen[-1])
+                        lambda *args: seen.append(errors(*args)) or seen[-1].copy())
     p = FlightProfile(duration=0.05, dt=SEC)
     stats = run_ensemble(m, p, 3, 2, 19, stat_stride=stride)
     monkeypatch.undo()
-    if stride == 1 and m == GyroErrorModel():  # 0 x a negative draw: -0.0 early on
-        assert any(np.signbit(v).any() for v in seen)
-    idx = np.rint(stats.times / p.dt).astype(int)
-    assert len(seen) == 6
-    for k, v in enumerate(seen):
+    idx = stat_indices(p, stride)
+    np.testing.assert_array_equal(stats.times, idx * p.dt)
+    flights = np.concatenate(seen)
+    assert flights.shape == (6, 2, len(idx))
+    for k, v in enumerate(flights):
         g, i = divmod(k, 3)
-        times, atrk, xtrk = simulate_flight(m, p, keyed(19, g, i))
-        assert times[idx].tobytes() == stats.times.tobytes()
-        assert np.array([atrk[idx], xtrk[idx]]).tobytes() == v.tobytes()
+        assert one_flight(m, p, idx, keyed(19, g, i)).tobytes() == v.tobytes()
+        if stride == 1:
+            times, atrk, xtrk = simulate_flight(m, p, keyed(19, g, i))
+            assert times.tobytes() == stats.times.tobytes()
+            assert np.array([atrk, xtrk]).tobytes() == v.tobytes()
+
+
+# Tc from 1e-3 h (3.6 steps of 1 s) to 1e4 h; noise alone, one and three
+# drifts.  The maps do not depend on turn-on; the turn-on stds do.
+MAP_MODELS = [
+    GyroErrorModel.from_deg(0.005),
+    GyroErrorModel.from_deg(0.005, ((0.01, 1.0),)),
+    GyroErrorModel.from_deg(0.0, ((0.01, 1e-3),), turn_on=False),
+    GyroErrorModel.from_deg(0.0, ((0.01, 1e4),)),
+    GyroErrorModel.from_deg(0.005, ((0.01, 1e-3), (0.02, 0.3), (0.003, 1e4))),
+    GyroErrorModel.from_deg(0.005, ((0.01, 1e-3), (0.02, 0.3), (0.003, 1e4)),
+                            turn_on=False),
+]
+MAP_IDS = ["noise", "one-drift", "Tc-1e-3-cold", "Tc-1e4", "three-drifts",
+           "three-drifts-cold"]
+HOUR = FlightProfile(duration=1.0, dt=SEC)
+
+
+@pytest.mark.parametrize("m", MAP_MODELS, ids=MAP_IDS)
+@pytest.mark.parametrize("stride", [1, 7, 900, HOUR.n_steps])
+def test_interval_maps_are_the_per_step_recursion(m, stride):
+    """Each interval's (F^k, L L^T) is k steps of Phi <- F Phi and
+    P <- F P F^T + Q, to 1e-12 relative (P scaled by its diagonal); a
+    stride of 7 leaves a last interval of 2 steps.  A stride of 1 draws one
+    normal per noise source and step."""
+    idx = stat_indices(HOUR, stride)
+    sd, segments = mc._interval_model(m, HOUR, idx)
+    drifts = [d for d in m.drifts if d.K != 0.0]
+    np.testing.assert_array_equal(
+        sd, [d.K * np.sqrt(d.Tc / 2.0) if m.turn_on else 0.0 for d in drifts])
+    lengths = np.diff(idx)
+    assert sum(count for count, _, _ in segments) == len(lengths)
+    start = 0
+    for count, Fk, L in segments:
+        assert np.all(lengths[start:start + count] == lengths[start])
+        Phi, P = oracles.flight_steps(m, HOUR, int(lengths[start]))
+        start += count
+        np.testing.assert_allclose(Fk, Phi, rtol=1e-12, atol=1e-300)
+        scale = np.sqrt(np.outer(np.diag(P), np.diag(P)))
+        assert np.all(np.abs(L @ L.T - P) <= 1e-12 * scale)
+    if stride == 1:
+        assert segments[0][2].shape[1] == len(drifts) + (m.N > 0)
+
+
+@pytest.mark.parametrize("m", MAP_MODELS, ids=MAP_IDS)
+@pytest.mark.parametrize("stride", [7, 900])
+def test_flight_errors_are_the_interval_recursion(m, stride):
+    """The sampler's componentwise sums are x_j = F^k x_{j-1} + L z_j, run
+    interval by interval on the same draws: per axis the turn-on normals,
+    then each segment's (rank, count) block."""
+    idx = stat_indices(HOUR, stride)
+    model = mc._interval_model(m, HOUR, idx)
+    sd, segments = model
+    keys = [keyed(23, 0, i) for i in range(3)]
+    got = mc._flight_errors(model, HOUR, [np.random.default_rng(k) for k in keys])
+    D = len(sd)
+    for key, flight in zip(keys, got):
+        rng = np.random.default_rng(key)
+        for axis in range(2):
+            x = np.zeros(D + 2)
+            x[:D] = sd * rng.standard_normal(D)
+            want = [x.copy()]
+            for count, Fk, L in segments:
+                z = rng.standard_normal((L.shape[1], count))
+                for j in range(count):
+                    x = Fk @ x + L @ z[:, j]
+                    want.append(x.copy())
+            want = np.array(want)
+            err = HOUR.R * want[:, D] if axis == 0 else want[:, D + 1]
+            np.testing.assert_allclose(flight[axis], err, rtol=1e-12,
+                                       atol=1e-12 * np.abs(err).max())
