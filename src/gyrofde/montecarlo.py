@@ -19,6 +19,15 @@ indices only: the cost grows with the number of stat times and with
 log2(stride), not with the number of steps.  Flight (g, i) draws every
 random number from one generator keyed on (master_seed, g, i), so ensembles
 are bit-reproducible and independent of execution order and worker count.
+
+That generator is np.random.default_rng(np.random.SeedSequence(
+entropy=master_seed, spawn_key=(g, i))).  Building one per flight costs more
+than the flight's draws, so a group draws every flight from one PCG64 set to
+the flight's state.  _pcg64_states derives the states of a block of flights
+at once by SeedSequence's and PCG64's own seeding arithmetic: numpy's
+SeedSequence(entropy=master_seed, spawn_key=(g,)) gives the part the group
+shares, and checks the seed; only the flight's key word and the 8 words
+hashed out of the pool vary across the block.
 """
 
 from __future__ import annotations
@@ -147,21 +156,27 @@ def _interval_model(m: GyroErrorModel, p: FlightProfile, idx: np.ndarray):
     return sd, tuple(segments)
 
 
-def _flight_errors(model, p: FlightProfile, rngs) -> np.ndarray:
-    """(flight, axis, stat time) along- and cross-track errors (km) of the
-    flights that draw from ``rngs``, one generator each, at the stat times
-    of ``model`` (see _interval_model); both are exact zeros at time 0.
+def _normals_per_axis(model) -> int:
+    """How many standard normals one flight axis of ``model`` takes."""
+    sd, segments = model
+    return len(sd) + sum(count * L.shape[1] for count, _, L in segments)
 
-    Per axis a flight draws its D turn-on normals, used or not, then each
+
+def _flight_errors(model, p: FlightProfile, normals: np.ndarray) -> np.ndarray:
+    """(flight, axis, stat time) along- and cross-track errors (km) at the
+    stat times of ``model`` (see _interval_model), from each flight's
+    (axis, _normals_per_axis) standard normals; both are exact zeros at
+    time 0.
+
+    Per axis a flight takes its D turn-on normals, used or not, then each
     segment's normals, a (rank, count) block.  The drift states follow
     s_j = q^k s_{j-1} + noise, and theta and y sum their increments; every
     operation is elementwise or along a flight's own row, so a flight's
     errors do not depend on the other flights drawn with it."""
     sd, segments = model
-    D, B = len(sd), len(rngs)
+    D, B = len(sd), len(normals)
     M = sum(count for count, _, _ in segments)
     ends = np.cumsum([D] + [count * L.shape[1] for count, _, L in segments])
-    z = np.empty((B, ends[-1]))
     out = np.empty((B, 2, M + 1))
     out[:, :, 0] = 0.0
 
@@ -183,8 +198,7 @@ def _flight_errors(model, p: FlightProfile, rngs) -> np.ndarray:
     # the first segment's map
     q = segments[0][1].diagonal()
     for axis in range(2):
-        for b, rng in enumerate(rngs):
-            rng.standard_normal(out=z[b])
+        z = normals[:, axis]
         s = []  # s[i][:, j]: drift i at the start of interval j
         for i in range(D):
             si = np.empty((B, M))
@@ -215,8 +229,61 @@ def simulate_flight(m: GyroErrorModel, p: FlightProfile,
     """One flight's times, along- and cross-track errors (km): n_steps+1 entries
     each, from exact zeros.  ``seed`` is an int or a keyed SeedSequence."""
     idx = np.arange(p.n_steps + 1)
-    errors = _flight_errors(_interval_model(m, p, idx), p, [np.random.default_rng(seed)])
+    model = _interval_model(m, p, idx)
+    normals = np.random.default_rng(seed).standard_normal((1, 2, _normals_per_axis(model)))
+    errors = _flight_errors(model, p, normals)
     return idx * p.dt, errors[0, 0], errors[0, 1]
+
+
+# numpy's SeedSequence (pool of 4 words) and PCG64 seeding constants
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_states(master_seed, g: int, first: int, count: int) -> list[dict]:
+    """The PCG64 states of flights (g, i), i = first .. first + count - 1 <
+    2**32, bit for bit as np.random.PCG64(np.random.SeedSequence(
+    entropy=master_seed, spawn_key=(g, i))) seeds them.
+
+    SeedSequence hashes its entropy words (the seed's, zero-padded to 4,
+    then g's, then i's) into a pool of 4, each word once per pool word, and
+    hashes the pool out to 8 words; PCG64 takes them as its 128-bit
+    (initstate, initseq).  The per-flight words are uint32 arrays, which
+    wrap silently, and the shared ones Python ints masked to 32 bits."""
+    shared = np.random.SeedSequence(entropy=master_seed, spawn_key=(g,))
+    words = max(4, -(-int(master_seed).bit_length() // 32)) + max(1, -(-g.bit_length() // 32))
+    # SeedSequence's hash constant after 4 steps per entropy word so far
+    hc = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
+    i = np.arange(first, first + count, dtype=np.uint32)
+    pool = []
+    for p in shared.pool.tolist():
+        h = i ^ hc
+        hc = hc * _MULT_A & _MASK32
+        h *= hc
+        h ^= h >> 16
+        mixed = (_MIX_MULT_L * p & _MASK32) - _MIX_MULT_R * h
+        mixed ^= mixed >> 16
+        pool.append(mixed)
+    hc, w = _INIT_B, []
+    for k in range(8):
+        v = pool[k % 4] ^ hc
+        hc = hc * _MULT_B & _MASK32
+        v *= hc
+        v ^= v >> 16
+        w.append(v.astype(np.uint64))
+    # little-endian word pairs: initstate = (w1 w0, w3 w2), initseq = (w5 w4, w7 w6)
+    states = []
+    for s1, s0, q1, q0 in zip(*((w[k + 1] << 32 | w[k]).tolist() for k in range(0, 8, 2))):
+        inc = ((q1 << 64 | q0) << 1 | 1) & _MASK128
+        # state 0, step, add initstate, step
+        state = ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 # a block of flights holds about this many floats per array
@@ -225,20 +292,27 @@ _BLOCK_FLOATS = 2 ** 16
 
 def _group_accumulators(args) -> np.ndarray:
     """The (s, ss) x axis x time sums and sums of squares of one group's
-    flight errors at the stat times, drawn a block of flights at a time."""
+    flight errors at the stat times, drawn a block of flights at a time
+    from one generator set to each flight's keyed state."""
     model, p, g, n_flights, master_seed = args
     sd, segments = model
     n_times = 1 + sum(count for count, _, _ in segments)
     block = max(1, _BLOCK_FLOATS // (n_times * (len(sd) + 2)))
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
+    normals = np.empty((min(block, n_flights), 2, _normals_per_axis(model)))
     sums = np.zeros((2, 2, n_times))
     for first in range(0, n_flights, block):
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
-                                                             spawn_key=(g, i)))
-                for i in range(first, min(first + block, n_flights))]
-        v = _flight_errors(model, p, rngs)
-        sums[0] += v.sum(axis=0)
-        v *= v
-        sums[1] += v.sum(axis=0)
+        states = _pcg64_states(master_seed, g, first, min(block, n_flights - first))
+        for b, state in enumerate(states):
+            bits.state = state
+            rng.standard_normal(out=normals[b])
+        v = _flight_errors(model, p, normals[:len(states)])
+        # the sums so far enter with the block's first flight: a sum over
+        # axis 0 adds in flight order, so the sums do not depend on the block
+        for k, x in enumerate((v, v * v)):
+            x[0] += sums[k]
+            x.sum(axis=0, out=sums[k])
     return sums
 
 
@@ -259,8 +333,8 @@ def run_ensemble(m: GyroErrorModel, p: FlightProfile, n_flights: int,
     bit-identical for any worker count because each group is reduced
     independently in flight order.
     """
-    if n_flights < 2:
-        raise ValueError("need at least 2 flights per group")
+    if not 2 <= n_flights <= 2 ** 32:
+        raise ValueError(f"need 2 to 2**32 flights per group, got {n_flights}")
     if n_groups < 1:
         raise ValueError("need at least 1 group")
     if stat_stride < 1:

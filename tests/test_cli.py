@@ -812,13 +812,21 @@ def test_quantity_flag_errors_name_the_flag(tmp_path, capsys, argv, flag):
 def test_overflow_in_a_forkserver_worker_exits_2_with_one_line(tmp_path):
     """A worker started by forkserver (Python 3.14's default on Linux) does
     not inherit the caller's floating-point error state; it must raise on
-    overflow as the caller does, not print warnings."""
+    overflow as the caller does, not print warnings.  The interval map of
+    this flight overflows from about 4.6e157 deg/sqrt(h); below that the
+    parent builds the map and the pool, and only a worker's sums of squares
+    overflow."""
     script = (
-        "import multiprocessing, sys\n"
+        "import concurrent.futures, multiprocessing, sys\n"
         "from gyrofde.cli import main\n"
+        "class RecordingPool(concurrent.futures.ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        open('pool-built', 'w').close()\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "concurrent.futures.ProcessPoolExecutor = RecordingPool\n"
         "multiprocessing.set_start_method('forkserver')\n"
         "sys.exit(main(sys.argv[1:]))\n")
-    argv = ["simulate", "--noise", "1e300 deg_per_sqrt_h", "--groups", "2",
+    argv = ["simulate", "--noise", "1e156 deg_per_sqrt_h", "--groups", "2",
             "--flights", "2", "--duration", "0.01 h", "--workers", "2",
             "--out", "out.csv"]
     src = str(pathlib.Path(gyrofde.__file__).resolve().parents[1])
@@ -828,5 +836,7 @@ def test_overflow_in_a_forkserver_worker_exits_2_with_one_line(tmp_path):
                          cwd=tmp_path, env=env, capture_output=True, text=True)
     assert res.returncode == 2
     err = res.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("gyrofde: error: "), err
+    assert err == ["gyrofde: error: input out of numeric range: "
+                   "overflow encountered in multiply"], err
+    assert (tmp_path / "pool-built").exists()
     assert not (tmp_path / "out.csv").exists()

@@ -23,10 +23,16 @@ def stat_indices(p, stride):
     return idx if idx[-1] == p.n_steps else np.append(idx, p.n_steps)
 
 
+def keyed_normals(model, keys):
+    """(flight, axis, draw): each key's generator's normals, axis 0 first."""
+    n = mc._normals_per_axis(model)
+    return np.array([np.random.default_rng(key).standard_normal((2, n)) for key in keys])
+
+
 def one_flight(m, p, idx, key):
     """The (axis, stat time) errors of the flight keyed ``key``, sampled alone."""
-    return mc._flight_errors(mc._interval_model(m, p, idx), p,
-                             [np.random.default_rng(key)])[0]
+    model = mc._interval_model(m, p, idx)
+    return mc._flight_errors(model, p, keyed_normals(model, [key]))[0]
 
 
 class TestSimulateFlight:
@@ -70,6 +76,47 @@ class TestRunEnsemble:
             run_ensemble(GyroErrorModel(), SHORT, 1, 1, 0)
         with pytest.raises(ValueError):
             run_ensemble(GyroErrorModel(), SHORT, 2, 0, 0)
+        # a flight index is one 32-bit word of the key
+        with pytest.raises(ValueError):
+            run_ensemble(GyroErrorModel(), SHORT, 2 ** 32 + 1, 1, 0)
+
+    def test_seed_inputs_are_checked_as_seedsequence_checks_them(self):
+        m = GyroErrorModel.from_deg(0.01, ((0.05, 0.2),))
+
+        def std_bytes(seed):
+            stats = run_ensemble(m, SHORT, 3, 2, seed, stat_stride=90)
+            return stats.std.tobytes() + stats.pooled_std.tobytes()
+
+        with pytest.raises(ValueError):
+            run_ensemble(m, SHORT, 3, 2, -1, stat_stride=90)
+        for seed in (1.5, "3"):
+            with pytest.raises(TypeError):
+                run_ensemble(m, SHORT, 3, 2, seed, stat_stride=90)
+        assert std_bytes(True) == std_bytes(1)
+        assert std_bytes(np.int64(5)) == std_bytes(5)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_block_size_does_not_change_the_stats(self, block, monkeypatch):
+        """A group of 7 flights drawn in blocks of 1, 2 or 3 flights: a
+        block's first flight is keyed by its offset in the group, and the
+        group's sums add the flights in flight order across blocks."""
+        m = GyroErrorModel.from_deg(0.01, ((0.05, 0.2),))
+        errors = mc._flight_errors
+
+        def run(block_floats):
+            sizes = []
+            monkeypatch.setattr(mc, "_flight_errors",
+                                lambda *args: sizes.append(len(args[2])) or errors(*args))
+            monkeypatch.setattr(mc, "_BLOCK_FLOATS", block_floats)
+            stats = run_ensemble(m, SHORT, 7, 2, 17, stat_stride=90)
+            return stats.std.tobytes() + stats.pooled_std.tobytes(), sizes
+
+        default, whole = run(mc._BLOCK_FLOATS)
+        assert whole == [7, 7]
+        # floats per flight: (drift, theta, y) x stat times
+        got, sizes = run(block * 3 * len(stat_indices(SHORT, 90)))
+        assert sizes == 2 * ([block] * (7 // block) + [7 % block] * (7 % block > 0))
+        assert got == default
 
     def test_stat_stride_keeps_endpoint(self):
         stats = run_ensemble(GyroErrorModel(), SHORT, 2, 1, 0, stat_stride=7)
@@ -285,6 +332,16 @@ def test_simulate_flight_is_the_ensemble_path_at_every_index(m, stride, monkeypa
             assert np.array([atrk, xtrk]).tobytes() == v.tobytes()
 
 
+@pytest.mark.parametrize("master", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 128 + 3])
+@pytest.mark.parametrize("g", [0, 7, 2 ** 32 - 1])
+def test_bulk_states_are_the_keyed_pcg64_states(master, g):
+    """Each flight's state is PCG64(SeedSequence(master, (g, i))).state,
+    bit for bit; the pool and output words wrap without a warning."""
+    states = mc._pcg64_states(master, g, 0, 257) + mc._pcg64_states(master, g, 2 ** 32 - 1, 1)
+    for i, state in zip([*range(257), 2 ** 32 - 1], states):
+        assert state == np.random.PCG64(keyed(master, g, i)).state
+
+
 # Tc from 1e-3 h (3.6 steps of 1 s) to 1e4 h; noise alone, one and three
 # drifts.  The maps do not depend on turn-on; the turn-on stds do.
 MAP_MODELS = [
@@ -337,7 +394,7 @@ def test_flight_errors_are_the_interval_recursion(m, stride):
     model = mc._interval_model(m, HOUR, idx)
     sd, segments = model
     keys = [keyed(23, 0, i) for i in range(3)]
-    got = mc._flight_errors(model, HOUR, [np.random.default_rng(k) for k in keys])
+    got = mc._flight_errors(model, HOUR, keyed_normals(model, keys))
     D = len(sd)
     for key, flight in zip(keys, got):
         rng = np.random.default_rng(key)
