@@ -318,6 +318,12 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.groups < 1:
+        raise ConfigError(f"--groups: need at least 1 group, got {args.groups}")
+    if not 2 <= args.flights <= 2 ** 32:
+        raise ConfigError(f"--flights: need 2 to 2**32 flights per group, got {args.flights}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers: need at least 1 worker, got {args.workers}")
     _check_out_dirs(args.out, args.report)
     cfg = load_config(args.config, args)
     _check_steps(cfg.flight.duration, cfg.flight.dt, "--duration / --dt")

@@ -16,18 +16,12 @@ So k steps are one draw from (F^k, Q_k), which repeated squaring builds from
 the one-step map, once per distinct interval length.  A flight is sampled
 exactly, from the same law as a step-by-step integration, at its stat
 indices only: the cost grows with the number of stat times and with
-log2(stride), not with the number of steps.  Flight (g, i) draws every
-random number from one generator keyed on (master_seed, g, i), so ensembles
-are bit-reproducible and independent of execution order and worker count.
-
-That generator is np.random.default_rng(np.random.SeedSequence(
-entropy=master_seed, spawn_key=(g, i))).  Building one per flight costs more
-than the flight's draws, so a group draws every flight from one PCG64 set to
-the flight's state.  _pcg64_states derives the states of a block of flights
-at once by SeedSequence's and PCG64's own seeding arithmetic: numpy's
-SeedSequence(entropy=master_seed, spawn_key=(g,)) gives the part the group
-shares, and checks the seed; only the flight's key word and the 8 words
-hashed out of the pool vary across the block.
+log2(stride), not with the number of steps.  Group g draws all of its
+flights, in flight order, from one generator keyed on (master_seed, g),
+gyro.substream(master_seed, g): flight i of the group is row i of its
+(n_flights, 2, normals per axis) standard normals.  So ensembles are
+bit-reproducible and independent of execution order, worker count and
+block size.
 """
 
 from __future__ import annotations
@@ -40,7 +34,7 @@ import numpy as np
 from ._io import write_csv, write_json
 from .allan import _chi2_band
 from .budget import FlightProfile, _drift_pairs, fde_sigma
-from .gyro import GyroErrorModel, _first_order_filter
+from .gyro import GyroErrorModel, _first_order_filter, substream
 
 __all__ = [
     "EnsembleStats", "ComparisonReport",
@@ -235,79 +229,26 @@ def simulate_flight(m: GyroErrorModel, p: FlightProfile,
     return idx * p.dt, errors[0, 0], errors[0, 1]
 
 
-# numpy's SeedSequence (pool of 4 words) and PCG64 seeding constants
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _pcg64_states(master_seed, g: int, first: int, count: int) -> list[dict]:
-    """The PCG64 states of flights (g, i), i = first .. first + count - 1 <
-    2**32, bit for bit as np.random.PCG64(np.random.SeedSequence(
-    entropy=master_seed, spawn_key=(g, i))) seeds them.
-
-    SeedSequence hashes its entropy words (the seed's, zero-padded to 4,
-    then g's, then i's) into a pool of 4, each word once per pool word, and
-    hashes the pool out to 8 words; PCG64 takes them as its 128-bit
-    (initstate, initseq).  The per-flight words are uint32 arrays, which
-    wrap silently, and the shared ones Python ints masked to 32 bits."""
-    shared = np.random.SeedSequence(entropy=master_seed, spawn_key=(g,))
-    words = max(4, -(-int(master_seed).bit_length() // 32)) + max(1, -(-g.bit_length() // 32))
-    # SeedSequence's hash constant after 4 steps per entropy word so far
-    hc = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
-    i = np.arange(first, first + count, dtype=np.uint32)
-    pool = []
-    for p in shared.pool.tolist():
-        h = i ^ hc
-        hc = hc * _MULT_A & _MASK32
-        h *= hc
-        h ^= h >> 16
-        mixed = (_MIX_MULT_L * p & _MASK32) - _MIX_MULT_R * h
-        mixed ^= mixed >> 16
-        pool.append(mixed)
-    hc, w = _INIT_B, []
-    for k in range(8):
-        v = pool[k % 4] ^ hc
-        hc = hc * _MULT_B & _MASK32
-        v *= hc
-        v ^= v >> 16
-        w.append(v.astype(np.uint64))
-    # little-endian word pairs: initstate = (w1 w0, w3 w2), initseq = (w5 w4, w7 w6)
-    states = []
-    for s1, s0, q1, q0 in zip(*((w[k + 1] << 32 | w[k]).tolist() for k in range(0, 8, 2))):
-        inc = ((q1 << 64 | q0) << 1 | 1) & _MASK128
-        # state 0, step, add initstate, step
-        state = ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
-
-
 # a block of flights holds about this many floats per array
 _BLOCK_FLOATS = 2 ** 16
 
 
 def _group_accumulators(args) -> np.ndarray:
     """The (s, ss) x axis x time sums and sums of squares of one group's
-    flight errors at the stat times, drawn a block of flights at a time
-    from one generator set to each flight's keyed state."""
+    flight errors at the stat times.  The flights take their normals in
+    flight order from the group's keyed generator, one standard_normal call
+    per block of flights."""
     model, p, g, n_flights, master_seed = args
     sd, segments = model
     n_times = 1 + sum(count for count, _, _ in segments)
     block = max(1, _BLOCK_FLOATS // (n_times * (len(sd) + 2)))
-    bits = np.random.PCG64()
-    rng = np.random.Generator(bits)
+    rng = substream(master_seed, g)
     normals = np.empty((min(block, n_flights), 2, _normals_per_axis(model)))
     sums = np.zeros((2, 2, n_times))
     for first in range(0, n_flights, block):
-        states = _pcg64_states(master_seed, g, first, min(block, n_flights - first))
-        for b, state in enumerate(states):
-            bits.state = state
-            rng.standard_normal(out=normals[b])
-        v = _flight_errors(model, p, normals[:len(states)])
+        drawn = normals[:n_flights - first]
+        rng.standard_normal(out=drawn)
+        v = _flight_errors(model, p, drawn)
         # the sums so far enter with the block's first flight: a sum over
         # axis 0 adds in flight order, so the sums do not depend on the block
         for k, x in enumerate((v, v * v)):

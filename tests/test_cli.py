@@ -774,6 +774,12 @@ BAD_VALUES = {
     "fit-allan-tau-max-subnormal": (
         ["fit-allan", "--tau-max", "1e-320 s", "--sigma-max", "1 deg_per_h"],
         "--tau-max: value out of numeric range in '1e-320 s'"),
+    "simulate-groups-0": (["simulate", "--groups", "0"],
+                          "--groups: need at least 1 group, got 0"),
+    "simulate-flights-1": (["simulate", "--flights", "1"],
+                           "--flights: need 2 to 2**32 flights per group, got 1"),
+    "simulate-workers-0": (["simulate", "--workers", "0"],
+                           "--workers: need at least 1 worker, got 0"),
 }
 
 

@@ -96,9 +96,9 @@ DIGESTS = {
     },
     "simulate-workers-1": {
         "ensemble.csv":
-            "8add6ba30e7dafb4beda769d1400968a2656eef37c1bcb1aecdad4f9630fed18",
+            "a0a9a183f05257cf33e9523d026dd155a8eb07cbdf665c24f0fc9ae39b58d17b",
         "report.json":
-            "2f3c745cc598c9d6c14047c78db91826b2f56f8740cadc6cbde0c54a75085579",
+            "24d86c7cfec8c42ca48e20eb124894506081b6b9f0fc34f6382653d379ef946d",
     },
 }
 

@@ -23,16 +23,17 @@ def stat_indices(p, stride):
     return idx if idx[-1] == p.n_steps else np.append(idx, p.n_steps)
 
 
-def keyed_normals(model, keys):
-    """(flight, axis, draw): each key's generator's normals, axis 0 first."""
+def keyed_normals(model, master, g, n_flights):
+    """(flight, axis, draw): group g's generator's normals, flight i in row i."""
     n = mc._normals_per_axis(model)
-    return np.array([np.random.default_rng(key).standard_normal((2, n)) for key in keys])
+    return np.random.default_rng(keyed(master, g)).standard_normal((n_flights, 2, n))
 
 
-def one_flight(m, p, idx, key):
-    """The (axis, stat time) errors of the flight keyed ``key``, sampled alone."""
+def one_flight(m, p, idx, master, g, i, n_flights):
+    """The (axis, stat time) errors of flight (g, i) of a group of
+    ``n_flights``, sampled alone."""
     model = mc._interval_model(m, p, idx)
-    return mc._flight_errors(model, p, keyed_normals(model, [key]))[0]
+    return mc._flight_errors(model, p, keyed_normals(model, master, g, n_flights)[i:i + 1])[0]
 
 
 class TestSimulateFlight:
@@ -76,7 +77,7 @@ class TestRunEnsemble:
             run_ensemble(GyroErrorModel(), SHORT, 1, 1, 0)
         with pytest.raises(ValueError):
             run_ensemble(GyroErrorModel(), SHORT, 2, 0, 0)
-        # a flight index is one 32-bit word of the key
+        # more flights per group than any run could finish
         with pytest.raises(ValueError):
             run_ensemble(GyroErrorModel(), SHORT, 2 ** 32 + 1, 1, 0)
 
@@ -133,13 +134,14 @@ class TestRunEnsemble:
 
     def test_stds_are_numpy_std_of_the_keyed_flights(self):
         """Each group's std is np.std(ddof=1) of its flights (g, i) at the
-        stat times, ATRK on axis 0 and groups in order; pooled over all."""
+        stat times, ATRK on axis 0 and groups in order; pooled over all.
+        Flight (g, i) is row i of group g's keyed normals."""
         m = GyroErrorModel.from_deg(0.01, ((0.05, 0.2),))
         stats = run_ensemble(m, SHORT, 4, 3, master_seed=8, stat_stride=90)
         idx = np.arange(0, SHORT.n_steps + 1, 90)
         np.testing.assert_array_equal(stats.times, idx * SHORT.dt)
         # (group, flight, axis, time) -> (axis, group, flight, time)
-        errs = np.array([[one_flight(m, SHORT, idx, keyed(8, g, i))
+        errs = np.array([[one_flight(m, SHORT, idx, 8, g, i, 4)
                           for i in range(4)] for g in range(3)])
         errs = errs.transpose(2, 0, 1, 3)
         np.testing.assert_allclose(stats.std, errs.std(axis=2, ddof=1),
@@ -147,6 +149,14 @@ class TestRunEnsemble:
         np.testing.assert_allclose(stats.pooled_std,
                                    errs.reshape(2, 12, -1).std(axis=1, ddof=1),
                                    rtol=1e-12, atol=0)
+
+    def test_a_groups_stats_do_not_depend_on_the_group_count(self):
+        """Group g draws from its own key alone: the first two groups of an
+        ensemble of 5 are an ensemble of 2, bit for bit."""
+        m = GyroErrorModel.from_deg(0.01, ((0.05, 0.2),))
+        two = run_ensemble(m, SHORT, 4, 2, master_seed=12, stat_stride=90)
+        five = run_ensemble(m, SHORT, 4, 5, master_seed=12, stat_stride=90)
+        assert five.std[:, :2].tobytes() == two.std.tobytes()
 
     def test_pool_has_no_more_workers_than_groups(self, tmp_path, monkeypatch):
         """Under fork a pool starts every worker it may use, so it may use
@@ -310,8 +320,9 @@ MODEL_IDS = ["noise", "one-drift", "one-drift-cold", "two-drifts", "two-drifts-c
 def test_simulate_flight_is_the_ensemble_path_at_every_index(m, stride, monkeypatch):
     """What run_ensemble accumulates for flight (g, i), drawn in a block
     with the other flights of its group, is that flight sampled alone at
-    the same stat indices, bit for bit; at a stride of 1 it is
-    simulate_flight's errors."""
+    the same stat indices from row i of group g's keyed normals, bit for
+    bit; at a stride of 1, flight (g, 0) is simulate_flight's errors on
+    group g's key."""
     seen = []  # each block's errors, kept from the caller's in-place use
     errors = mc._flight_errors
     monkeypatch.setattr(mc, "_flight_errors",
@@ -325,21 +336,11 @@ def test_simulate_flight_is_the_ensemble_path_at_every_index(m, stride, monkeypa
     assert flights.shape == (6, 2, len(idx))
     for k, v in enumerate(flights):
         g, i = divmod(k, 3)
-        assert one_flight(m, p, idx, keyed(19, g, i)).tobytes() == v.tobytes()
-        if stride == 1:
-            times, atrk, xtrk = simulate_flight(m, p, keyed(19, g, i))
+        assert one_flight(m, p, idx, 19, g, i, 3).tobytes() == v.tobytes()
+        if stride == 1 and i == 0:
+            times, atrk, xtrk = simulate_flight(m, p, keyed(19, g))
             assert times.tobytes() == stats.times.tobytes()
             assert np.array([atrk, xtrk]).tobytes() == v.tobytes()
-
-
-@pytest.mark.parametrize("master", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 128 + 3])
-@pytest.mark.parametrize("g", [0, 7, 2 ** 32 - 1])
-def test_bulk_states_are_the_keyed_pcg64_states(master, g):
-    """Each flight's state is PCG64(SeedSequence(master, (g, i))).state,
-    bit for bit; the pool and output words wrap without a warning."""
-    states = mc._pcg64_states(master, g, 0, 257) + mc._pcg64_states(master, g, 2 ** 32 - 1, 1)
-    for i, state in zip([*range(257), 2 ** 32 - 1], states):
-        assert state == np.random.PCG64(keyed(master, g, i)).state
 
 
 # Tc from 1e-3 h (3.6 steps of 1 s) to 1e4 h; noise alone, one and three
@@ -393,11 +394,10 @@ def test_flight_errors_are_the_interval_recursion(m, stride):
     idx = stat_indices(HOUR, stride)
     model = mc._interval_model(m, HOUR, idx)
     sd, segments = model
-    keys = [keyed(23, 0, i) for i in range(3)]
-    got = mc._flight_errors(model, HOUR, keyed_normals(model, keys))
+    got = mc._flight_errors(model, HOUR, keyed_normals(model, 23, 0, 3))
     D = len(sd)
-    for key, flight in zip(keys, got):
-        rng = np.random.default_rng(key)
+    rng = np.random.default_rng(keyed(23, 0))  # the flights' normals in turn
+    for flight in got:
         for axis in range(2):
             x = np.zeros(D + 2)
             x[:D] = sd * rng.standard_normal(D)
